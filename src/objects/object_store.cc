@@ -6,6 +6,16 @@
 
 namespace uindex {
 
+void ObjectStore::AddMember(Extent* extent, Interval member) {
+  // Oids grow, so this is an append except for out-of-order restores.
+  std::vector<Interval>& members = extent->members;
+  members.insert(std::upper_bound(members.begin(), members.end(), member.oid,
+                                  [](Oid key, const Interval& iv) {
+                                    return key < iv.oid;
+                                  }),
+                 member);
+}
+
 const ObjectStore::Rev* ObjectStore::ResolveLocked(
     const std::vector<Rev>& chain, uint64_t at) const {
   const Rev* best = nullptr;
@@ -29,12 +39,12 @@ Result<Oid> ObjectStore::Create(ClassId cls) {
   {
     Shard& shard = ShardFor(oid);
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.chains[oid].push_back(Rev{w, std::move(obj)});
+    shard.Slot(oid).push_back(Rev{w, std::move(obj)});
   }
   {
     std::lock_guard<std::mutex> lock(extents_mu_);
     if (extents_.size() <= cls) extents_.resize(schema_->class_count());
-    extents_[cls].push_back(Interval{oid, w, kLatestEpoch});
+    AddMember(&extents_[cls], Interval{oid, w, kLatestEpoch});
   }
   live_count_.fetch_add(1, std::memory_order_relaxed);
   return oid;
@@ -46,9 +56,9 @@ Status ObjectStore::SetAttr(Oid oid, const std::string& name, Value value) {
   {
     Shard& shard = ShardFor(oid);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.chains.find(oid);
-    if (it == shard.chains.end()) return Status::NotFound("oid");
-    const Rev* rev = ResolveLocked(it->second, w);
+    const std::vector<Rev>* chain = shard.Find(oid);
+    if (chain == nullptr) return Status::NotFound("oid");
+    const Rev* rev = ResolveLocked(*chain, w);
     if (rev == nullptr) return Status::NotFound("oid");
     current = rev->obj;
   }
@@ -63,8 +73,9 @@ Status ObjectStore::SetAttr(Oid oid, const std::string& name, Value value) {
   {
     Shard& shard = ShardFor(oid);
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.chains[oid].push_back(Rev{w, std::move(next)});
+    shard.Slot(oid).push_back(Rev{w, std::move(next)});
   }
+  RetireChain(oid, w);
   return Status::OK();
 }
 
@@ -72,9 +83,9 @@ Result<const Object*> ObjectStore::Get(Oid oid) const {
   const uint64_t at = EpochContext::Effective();
   const Shard& shard = ShardFor(oid);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.chains.find(oid);
-  if (it == shard.chains.end()) return Status::NotFound("oid");
-  const Rev* rev = ResolveLocked(it->second, at);
+  const std::vector<Rev>* chain = shard.Find(oid);
+  if (chain == nullptr) return Status::NotFound("oid");
+  const Rev* rev = ResolveLocked(*chain, at);
   if (rev == nullptr) return Status::NotFound("oid");
   // The raw pointer stays valid until reclamation passes `at` — excluded
   // while the resolving reader is pinned (see class comment).
@@ -85,9 +96,8 @@ bool ObjectStore::Exists(Oid oid) const {
   const uint64_t at = EpochContext::Effective();
   const Shard& shard = ShardFor(oid);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.chains.find(oid);
-  if (it == shard.chains.end()) return false;
-  return ResolveLocked(it->second, at) != nullptr;
+  const std::vector<Rev>* chain = shard.Find(oid);
+  return chain != nullptr && ResolveLocked(*chain, at) != nullptr;
 }
 
 Status ObjectStore::Delete(Oid oid) {
@@ -96,30 +106,34 @@ Status ObjectStore::Delete(Oid oid) {
   {
     Shard& shard = ShardFor(oid);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.chains.find(oid);
-    if (it == shard.chains.end()) return Status::NotFound("oid");
-    const Rev* rev = ResolveLocked(it->second, w);
+    const std::vector<Rev>* chain = shard.Find(oid);
+    if (chain == nullptr) return Status::NotFound("oid");
+    const Rev* rev = ResolveLocked(*chain, w);
     if (rev == nullptr) return Status::NotFound("oid");
     current = rev->obj;
   }
   for (const auto& [name, value] : current->attrs) {
     RemoveReverse(oid, name, value, w);
   }
+  bool interval_died = false;
   {
     std::lock_guard<std::mutex> lock(extents_mu_);
-    auto& extent = extents_[current->cls];
-    for (Interval& iv : extent) {
-      if (iv.oid == oid && iv.died == kLatestEpoch) {
-        iv.died = w;
-        break;
-      }
+    std::vector<Interval>& members = extents_[current->cls].members;
+    auto it = std::lower_bound(
+        members.begin(), members.end(), oid,
+        [](const Interval& iv, Oid key) { return iv.oid < key; });
+    if (it != members.end() && it->oid == oid && it->died == kLatestEpoch) {
+      it->died = w;
+      interval_died = true;
     }
   }
+  if (interval_died) RetireExtentInterval(current->cls, w);
   {
     Shard& shard = ShardFor(oid);
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.chains[oid].push_back(Rev{w, nullptr});  // Tombstone.
+    shard.Slot(oid).push_back(Rev{w, nullptr});  // Tombstone.
   }
+  RetireChain(oid, w);
   live_count_.fetch_sub(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -129,7 +143,7 @@ std::vector<Oid> ObjectStore::ExtentOf(ClassId cls) const {
   std::vector<Oid> out;
   std::lock_guard<std::mutex> lock(extents_mu_);
   if (cls >= extents_.size()) return out;
-  for (const Interval& iv : extents_[cls]) {
+  for (const Interval& iv : extents_[cls].members) {
     if (Visible(iv.born, iv.died, at)) out.push_back(iv.oid);
   }
   return out;
@@ -179,7 +193,7 @@ std::string ObjectStore::Serialize() const {
   std::vector<std::shared_ptr<const Object>> live;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [oid, chain] : shard.chains) {
+    for (const std::vector<Rev>& chain : shard.chains) {
       const Rev* rev = ResolveLocked(chain, at);
       if (rev != nullptr) live.push_back(rev->obj);
     }
@@ -232,6 +246,13 @@ Status ObjectStore::Deserialize(const Slice& blob) {
     const ClassId cls = DecodeFixed32(blob.data() + pos + 4);
     const uint32_t attr_count = DecodeFixed32(blob.data() + pos + 8);
     pos += 12;
+    // Range-check before the oid sizes a shard's chain table.
+    if (oid == kInvalidOid || oid >= next_oid) {
+      return Status::Corruption("oid out of range in store blob");
+    }
+    if (ShardFor(oid).Find(oid) != nullptr) {
+      return Status::Corruption("duplicate oid in store blob");
+    }
     if (!schema_->IsValidClass(cls)) {
       return Status::Corruption("unknown class in store blob");
     }
@@ -259,12 +280,12 @@ Status ObjectStore::Deserialize(const Slice& blob) {
       if (extents_.size() < schema_->class_count()) {
         extents_.resize(schema_->class_count());
       }
-      extents_[cls].push_back(Interval{oid, 0, kLatestEpoch});
+      AddMember(&extents_[cls], Interval{oid, 0, kLatestEpoch});
     }
     {
       Shard& shard = ShardFor(oid);
       std::lock_guard<std::mutex> lock(shard.mu);
-      shard.chains[oid].push_back(Rev{0, std::move(obj)});
+      shard.Slot(oid).push_back(Rev{0, std::move(obj)});
     }
     live_count_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -272,55 +293,111 @@ Status ObjectStore::Deserialize(const Slice& blob) {
   return Status::OK();
 }
 
-void ObjectStore::ReclaimBelow(uint64_t horizon) {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.chains.begin();
-    while (it != shard.chains.end()) {
-      std::vector<Rev>& chain = it->second;
-      // Keep the newest revision at or below the horizon (it IS the state
-      // every retained reader resolves) plus everything newer.
-      size_t keep_from = 0;
-      for (size_t i = 0; i < chain.size(); ++i) {
-        if (chain[i].epoch <= horizon) keep_from = i;
-      }
-      if (keep_from > 0) chain.erase(chain.begin(), chain.begin() + keep_from);
-      // A tombstone is always last (oids are never reused); once it is the
-      // horizon state, nobody can resolve the object again.
-      if (chain.size() == 1 && chain[0].obj == nullptr &&
-          chain[0].epoch <= horizon) {
-        it = shard.chains.erase(it);
-      } else {
-        ++it;
-      }
+size_t ObjectStore::ReclaimBelow(uint64_t horizon) {
+  std::map<uint64_t, RetireList> due;
+  {
+    std::lock_guard<std::mutex> lock(retired_mu_);
+    const auto end = retired_.upper_bound(horizon);
+    while (retired_.begin() != end) {
+      due.insert(retired_.extract(retired_.begin()));
     }
   }
-  {
+  size_t visits = 0;
+  std::vector<ClassId> touched;
+  for (const auto& [epoch, list] : due) {
+    (void)epoch;
+    for (const Oid oid : list.chains) {
+      PruneChain(oid, horizon);
+      ++visits;
+    }
+    for (const auto& key : list.referrers) {
+      PruneReferrers(key, horizon);
+      ++visits;
+    }
+    if (list.extents.empty()) continue;
     std::lock_guard<std::mutex> lock(extents_mu_);
-    for (std::vector<Interval>& extent : extents_) {
-      extent.erase(std::remove_if(extent.begin(), extent.end(),
-                                  [horizon](const Interval& iv) {
-                                    return iv.died <= horizon;
-                                  }),
-                   extent.end());
+    for (const ClassId cls : list.extents) {
+      ++extents_[cls].reclaimed;
+      touched.push_back(cls);
+      ++visits;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(referrers_mu_);
-    auto it = referrers_.begin();
-    while (it != referrers_.end()) {
-      std::vector<Interval>& v = it->second;
-      v.erase(std::remove_if(v.begin(), v.end(),
-                             [horizon](const Interval& iv) {
-                               return iv.died <= horizon;
-                             }),
-              v.end());
-      if (v.empty()) {
-        it = referrers_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  // Compact only after every due entry is counted: then `reclaimed` is
+  // exactly the number of members that died at or below the horizon.
+  std::lock_guard<std::mutex> lock(extents_mu_);
+  for (const ClassId cls : touched) {
+    Extent& extent = extents_[cls];
+    if (extent.reclaimed == 0) continue;
+    if (2 * extent.reclaimed < extent.members.size()) continue;
+    std::erase_if(extent.members, [horizon](const Interval& iv) {
+      return iv.died <= horizon;
+    });
+    extent.reclaimed = 0;
+  }
+  return visits;
+}
+
+size_t ObjectStore::retired_count() const {
+  std::lock_guard<std::mutex> lock(retired_mu_);
+  size_t n = 0;
+  for (const auto& [epoch, list] : retired_) {
+    (void)epoch;
+    n += list.chains.size() + list.extents.size() + list.referrers.size();
+  }
+  return n;
+}
+
+void ObjectStore::PruneChain(Oid oid, uint64_t horizon) {
+  Shard& shard = ShardFor(oid);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  std::vector<Rev>* found = shard.Find(oid);
+  if (found == nullptr) return;  // An earlier entry erased it.
+  std::vector<Rev>& chain = *found;
+  // Keep the newest revision at or below the horizon (it IS the state
+  // every retained reader resolves) plus everything newer.
+  size_t keep_from = 0;
+  for (size_t i = 0; i < chain.size(); ++i) {
+    if (chain[i].epoch <= horizon) keep_from = i;
+  }
+  if (keep_from > 0) chain.erase(chain.begin(), chain.begin() + keep_from);
+  // A tombstone is always last (oids are never reused); once it is the
+  // horizon state, nobody can resolve the object again.
+  if (chain.size() == 1 && chain[0].obj == nullptr &&
+      chain[0].epoch <= horizon) {
+    std::vector<Rev>().swap(chain);
+  }
+}
+
+void ObjectStore::PruneReferrers(const std::pair<Oid, std::string>& key,
+                                 uint64_t horizon) {
+  std::lock_guard<std::mutex> lock(referrers_mu_);
+  auto it = referrers_.find(key);
+  if (it == referrers_.end()) return;  // An earlier entry emptied it.
+  std::erase_if(it->second, [horizon](const Interval& iv) {
+    return iv.died <= horizon;
+  });
+  if (it->second.empty()) referrers_.erase(it);
+}
+
+void ObjectStore::RetireChain(Oid oid, uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(retired_mu_);
+  std::vector<Oid>& chains = retired_[epoch].chains;
+  // One visit prunes every same-epoch revision of the chain.
+  if (chains.empty() || chains.back() != oid) chains.push_back(oid);
+}
+
+void ObjectStore::RetireExtentInterval(ClassId cls, uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(retired_mu_);
+  retired_[epoch].extents.push_back(cls);
+}
+
+void ObjectStore::RetireReferrers(Oid target, const std::string& attr,
+                                  uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(retired_mu_);
+  auto& referrers = retired_[epoch].referrers;
+  if (referrers.empty() || referrers.back().first != target ||
+      referrers.back().second != attr) {
+    referrers.emplace_back(target, attr);
   }
 }
 
@@ -328,18 +405,18 @@ size_t ObjectStore::versioned_garbage_count() const {
   size_t garbage = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [oid, chain] : shard.chains) {
-      (void)oid;
+    for (const std::vector<Rev>& chain : shard.chains) {
       if (!chain.empty()) garbage += chain.size() - 1;
       if (!chain.empty() && chain.back().obj == nullptr) ++garbage;
     }
   }
   {
     std::lock_guard<std::mutex> lock(extents_mu_);
-    for (const std::vector<Interval>& extent : extents_) {
-      for (const Interval& iv : extent) {
+    for (const Extent& extent : extents_) {
+      for (const Interval& iv : extent.members) {
         if (iv.died != kLatestEpoch) ++garbage;
       }
+      garbage -= extent.reclaimed;  // Reclaimed, awaiting compaction.
     }
   }
   return garbage;
@@ -365,9 +442,14 @@ void ObjectStore::RemoveReverse(Oid source, const std::string& attr,
   auto drop = [this, source, &attr, epoch](Oid target) {
     auto it = referrers_.find({target, attr});
     if (it == referrers_.end()) return;
+    bool died = false;
     for (Interval& iv : it->second) {
-      if (iv.oid == source && iv.died == kLatestEpoch) iv.died = epoch;
+      if (iv.oid == source && iv.died == kLatestEpoch) {
+        iv.died = epoch;
+        died = true;
+      }
     }
+    if (died) RetireReferrers(target, attr, epoch);
   };
   if (value.kind() == Value::Kind::kRef) {
     drop(value.AsRef());

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "objects/object.h"
@@ -33,7 +32,13 @@ namespace uindex {
 /// Mutations stamp the thread-local `EpochContext` epoch (`kLatestEpoch`
 /// i.e. standalone use stamps 0, which every reader sees — the exact
 /// pre-MVCC behaviour); reads resolve at `EpochContext::Effective()`.
-/// `ReclaimBelow` prunes revisions/intervals no pinned reader can need.
+///
+/// Reclamation is incremental (epoch-based, with per-epoch retire lists):
+/// each mutation records what it superseded under its own epoch — the oid
+/// whose chain grew, the class whose extent gained a dead interval, the
+/// `(target, attribute)` referrer list that did — and `ReclaimBelow`
+/// visits only the entries at or below the horizon. A commit therefore
+/// reclaims what earlier commits retired, never the whole store.
 ///
 /// Thread-safety: concurrent readers are safe against the (externally
 /// serialized, single) writer — chains are sharded by oid under per-shard
@@ -93,14 +98,25 @@ class ObjectStore {
   std::string Serialize() const;
   Status Deserialize(const Slice& blob);
 
-  /// Epoch-based reclamation: drops every revision and membership
-  /// interval that no reader pinned at or above `horizon` can resolve.
-  /// Caller holds the writer serialization.
-  void ReclaimBelow(uint64_t horizon);
+  /// Epoch-based reclamation: pops every retire list stamped at or below
+  /// `horizon` and prunes only the chains, extents and referrer lists
+  /// those lists name. Per chain the newest revision at or below the
+  /// horizon survives (it is the state every retained reader resolves),
+  /// and a tombstoned oid is erased once its tombstone is that state;
+  /// membership intervals that died at or below the horizon go. The cost
+  /// is proportional to what was retired, not to the store's size; pass
+  /// `kLatestEpoch - 1` to drain every list. Returns the number of
+  /// chains, extent intervals and referrer lists visited. Caller holds the
+  /// writer serialization.
+  size_t ReclaimBelow(uint64_t horizon);
+
+  /// Retire-list entries not yet reclaimed (tests / introspection): the
+  /// visit count the reclaim that passes their epochs will report.
+  size_t retired_count() const;
 
   /// Retained superseded revisions (tests / introspection): chain
   /// revisions beyond the newest of each live oid, plus dead membership
-  /// intervals.
+  /// intervals not yet reclaimed. A full walk — never on the commit path.
   size_t versioned_garbage_count() const;
 
  private:
@@ -120,10 +136,47 @@ class ObjectStore {
     uint64_t died;  // kLatestEpoch while live.
   };
 
+  // A class's extent: intervals in ascending oid order, which is creation
+  // order (oids are allocated increasingly and an object never changes
+  // class), so a member is found by binary search. Reclaimed intervals
+  // stay in place — invisible to every reader, since they died at or
+  // below every pin — until they are half the vector; compacting then
+  // keeps the removal cost amortised to what was retired.
+  struct Extent {
+    std::vector<Interval> members;
+    size_t reclaimed = 0;  // Dead members already past a reclaim horizon.
+  };
+
+  // What the mutations of one epoch superseded.
+  struct RetireList {
+    std::vector<Oid> chains;       // Oids whose chain grew.
+    std::vector<ClassId> extents;  // One entry per extent interval died.
+    std::vector<std::pair<Oid, std::string>> referrers;  // (target, attr).
+  };
+
+  // Chains are sharded by `oid % kShards` and, within a shard, held in a
+  // table indexed by `oid / kShards`: oids are dense and never reused, so
+  // a lookup is one index rather than a hash-node walk whose cost grows
+  // with the store. An erased chain leaves an empty slot.
   static constexpr size_t kShards = 16;
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<Oid, std::vector<Rev>> chains;
+    std::vector<std::vector<Rev>> chains;
+
+    // The oid's chain; null when it has none (never created, or erased).
+    std::vector<Rev>* Find(Oid oid) {
+      const size_t i = oid / kShards;
+      return i < chains.size() && !chains[i].empty() ? &chains[i] : nullptr;
+    }
+    const std::vector<Rev>* Find(Oid oid) const {
+      return const_cast<Shard*>(this)->Find(oid);
+    }
+    // The oid's chain, created empty when absent.
+    std::vector<Rev>& Slot(Oid oid) {
+      const size_t i = oid / kShards;
+      if (i >= chains.size()) chains.resize(i + 1);
+      return chains[i];
+    }
   };
   Shard& ShardFor(Oid oid) { return shards_[oid % kShards]; }
   const Shard& ShardFor(Oid oid) const { return shards_[oid % kShards]; }
@@ -146,13 +199,28 @@ class ObjectStore {
   void RemoveReverse(Oid source, const std::string& attr, const Value& value,
                      uint64_t epoch);
 
+  // Inserts at the member's oid position (extents_mu_ held).
+  static void AddMember(Extent* extent, Interval member);
+
+  // Retire-list appends, stamped with the mutation's epoch.
+  void RetireChain(Oid oid, uint64_t epoch);
+  void RetireExtentInterval(ClassId cls, uint64_t epoch);
+  void RetireReferrers(Oid target, const std::string& attr, uint64_t epoch);
+
+  // Reclaim steps for one retired item (see ReclaimBelow).
+  void PruneChain(Oid oid, uint64_t horizon);
+  void PruneReferrers(const std::pair<Oid, std::string>& key,
+                      uint64_t horizon);
+
   const Schema* schema_;
   Shard shards_[kShards];
   mutable std::mutex extents_mu_;
-  std::vector<std::vector<Interval>> extents_;  // indexed by ClassId
+  std::vector<Extent> extents_;  // indexed by ClassId
   mutable std::mutex referrers_mu_;
   // (target oid, attribute) -> sources referencing it, with lifetimes.
   std::map<std::pair<Oid, std::string>, std::vector<Interval>> referrers_;
+  mutable std::mutex retired_mu_;
+  std::map<uint64_t, RetireList> retired_;  // by mutation epoch
   std::atomic<Oid> next_oid_{1};
   std::atomic<uint64_t> live_count_{0};
 };

@@ -16,21 +16,22 @@ constexpr uint32_t kVersion = 1;
 // ∥ bitmap crc — fits the 64-byte minimum page size.
 constexpr size_t kHeaderSize = 8 + 4 + 4 + 4 + 8 + 4 + 4;
 
-std::string PackBitmap(const std::vector<bool>& live, PageId max_page_id) {
-  std::string bitmap((max_page_id + 7) / 8, '\0');
-  for (PageId id = 1; id <= max_page_id; ++id) {
-    if (live[id]) bitmap[(id - 1) / 8] |= static_cast<char>(1 << ((id - 1) % 8));
-  }
-  return bitmap;
-}
-
 }  // namespace
 
 FilePager::FilePager(Env* env, std::string path, uint32_t page_size,
                      std::unique_ptr<RandomRWFile> file)
     : env_(env), path_(std::move(path)), page_size_(page_size),
-      file_(std::move(file)), live_(1, false) {
+      file_(std::move(file)) {
   assert(page_size_ >= kHeaderSize && "page size too small for the header");
+}
+
+void FilePager::SetLive(PageId id, bool live) {
+  const uint64_t bit = uint64_t{1} << (id % 64);
+  if (live) {
+    live_.At(id / 64).fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    live_.At(id / 64).fetch_and(~bit, std::memory_order_relaxed);
+  }
 }
 
 FilePager::~FilePager() {
@@ -98,14 +99,16 @@ Result<std::unique_ptr<FilePager>> FilePager::Open(Env* env,
   if (Crc32(Slice(bitmap)) != bitmap_crc) {
     return Status::Corruption("data-file bitmap checksum mismatch " + path);
   }
-  pager->max_page_id_ = max_page_id;
-  pager->live_.assign(max_page_id + 1, false);
+  if (!pager->live_.EnsureUpTo(max_page_id / 64)) {
+    return Status::Corruption("data-file id space too large " + path);
+  }
   for (PageId id = 1; id <= max_page_id; ++id) {
     if (bitmap[(id - 1) / 8] & (1 << ((id - 1) % 8))) {
-      pager->live_[id] = true;
+      pager->SetLive(id, true);
       ++pager->live_count_;
     }
   }
+  pager->live_.Publish(max_page_id);
   if (pager->live_count_ != live_count) {
     return Status::Corruption("data-file live count mismatch " + path);
   }
@@ -116,30 +119,33 @@ PageId FilePager::Allocate() {
   // Next-fit over the bitmap: resume where the last allocation stopped,
   // which is O(1) amortized and (unlike a free list rebuilt at restore)
   // needs no per-id bookkeeping beyond the bitmap itself.
-  for (PageId id = cursor_; id <= max_page_id_; ++id) {
-    if (!live_[id]) {
-      live_[id] = true;
+  const PageId max_id = max_page_id();
+  for (PageId id = cursor_; id <= max_id; ++id) {
+    if (!TestLive(id)) {
+      SetLive(id, true);
       ++live_count_;
       cursor_ = id + 1;
       return id;
     }
   }
-  ++max_page_id_;
-  live_.push_back(true);
+  const PageId id = max_id + 1;
+  live_.GrowOrDie(id / 64, "FilePager");
+  SetLive(id, true);
   ++live_count_;
-  cursor_ = max_page_id_ + 1;
-  return max_page_id_;
+  cursor_ = id + 1;
+  live_.Publish(id);
+  return id;
 }
 
 void FilePager::Free(PageId id) {
   assert(IsLive(id));
-  live_[id] = false;
+  SetLive(id, false);
   --live_count_;
   if (id < cursor_) cursor_ = id;
 }
 
 bool FilePager::IsLive(PageId id) const {
-  return id != kInvalidPageId && id <= max_page_id_ && live_[id];
+  return id != kInvalidPageId && id <= max_page_id() && TestLive(id);
 }
 
 Status FilePager::ReadPage(PageId id, char* out) const {
@@ -169,16 +175,22 @@ Status FilePager::Sync() {
   // Tail bitmap first, then the header that frames it: a crash between
   // the two leaves the old header describing the old bitmap. Both are
   // advisory anyway — recovery rebuilds the file from snapshot+journal.
-  const std::string bitmap = PackBitmap(live_, max_page_id_);
+  const PageId max_id = max_page_id();
+  std::string bitmap((max_id + 7) / 8, '\0');
+  for (PageId id = 1; id <= max_id; ++id) {
+    if (TestLive(id)) {
+      bitmap[(id - 1) / 8] |= static_cast<char>(1 << ((id - 1) % 8));
+    }
+  }
   if (!bitmap.empty()) {
     UINDEX_RETURN_IF_ERROR(
-        file_->WriteAt(OffsetOf(max_page_id_ + 1), Slice(bitmap)));
+        file_->WriteAt(OffsetOf(max_id + 1), Slice(bitmap)));
   }
   std::string header;
   header.append(kMagic, sizeof(kMagic));
   PutFixed32(&header, kVersion);
   PutFixed32(&header, page_size_);
-  PutFixed32(&header, max_page_id_);
+  PutFixed32(&header, max_id);
   PutFixed64(&header, live_count_);
   PutFixed32(&header, static_cast<uint32_t>(bitmap.size()));
   PutFixed32(&header, Crc32(Slice(bitmap)));
@@ -194,23 +206,26 @@ Status FilePager::BeginRestore(PageId max_page_id) {
       env_->NewRandomRWFile(path_, /*truncate=*/true);
   if (!file.ok()) return file.status();
   file_ = std::move(file).value();
-  live_.assign(max_page_id + 1, false);
+  live_.Reset();
   live_count_ = 0;
-  max_page_id_ = max_page_id;
+  if (!live_.EnsureUpTo(max_page_id / 64)) {
+    return Status::InvalidArgument("restore beyond the page id space");
+  }
+  live_.Publish(max_page_id);
   cursor_ = 1;
   return Status::OK();
 }
 
 Status FilePager::RestorePage(PageId id, const Slice& bytes) {
-  if (id == kInvalidPageId || id > max_page_id_) {
+  if (id == kInvalidPageId || id > max_page_id()) {
     return Status::InvalidArgument("restore id out of range");
   }
-  if (live_[id]) return Status::AlreadyExists("page restored twice");
+  if (TestLive(id)) return Status::AlreadyExists("page restored twice");
   if (bytes.size() != page_size_) {
     return Status::InvalidArgument("restore size mismatch");
   }
   UINDEX_RETURN_IF_ERROR(file_->WriteAt(OffsetOf(id), bytes));
-  live_[id] = true;
+  SetLive(id, true);
   ++live_count_;
   return Status::OK();
 }

@@ -1,12 +1,13 @@
 #ifndef UINDEX_STORAGE_FILE_PAGER_H_
 #define UINDEX_STORAGE_FILE_PAGER_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "storage/env/env.h"
 #include "storage/pager.h"
+#include "storage/stable_directory.h"
 
 namespace uindex {
 
@@ -33,7 +34,11 @@ namespace uindex {
 ///
 /// `ReadPage` zero-fills any bytes past end of file, so allocated-but-
 /// never-written pages read as zeros, matching the in-memory `Pager`.
-/// Not thread-safe; the buffer pool's lock serializes all access.
+/// Not thread-safe, with one exception: `IsLive` and `max_page_id` may
+/// run beside the (single) writer's `Allocate`/`Free`, as readers call
+/// them under the database's shared latch. The bitmap is therefore a
+/// fixed table of chunks of atomic words that never move. Page I/O goes
+/// through the buffer pool's lock.
 class FilePager : public PageStore {
  public:
   /// Creates (or truncates) the data file at `path`. Nothing is written
@@ -59,7 +64,7 @@ class FilePager : public PageStore {
   void Free(PageId id) override;
   bool IsLive(PageId id) const override;
   uint64_t live_page_count() const override { return live_count_; }
-  PageId max_page_id() const override { return max_page_id_; }
+  PageId max_page_id() const override { return live_.max_id(); }
 
   bool backs_memory() const override { return false; }
   Page* DirectPage(PageId) override { return nullptr; }
@@ -86,9 +91,16 @@ class FilePager : public PageStore {
   std::string path_;
   uint32_t page_size_;
   std::unique_ptr<RandomRWFile> file_;
-  std::vector<bool> live_;  ///< live_[id]; index 0 unused.
+  // Liveness bitmap: bit id % 64 of word id / 64; 4096 chunks of 1024
+  // words cover ids below 256M.
+  bool TestLive(PageId id) const {
+    return (live_.At(id / 64).load(std::memory_order_relaxed) >> (id % 64)) &
+           1;
+  }
+  void SetLive(PageId id, bool live);
+
+  StableDirectory<std::atomic<uint64_t>, 1024, 4096> live_;
   uint64_t live_count_ = 0;
-  PageId max_page_id_ = 0;
   PageId cursor_ = 1;  ///< Next-fit allocation scan start.
 };
 

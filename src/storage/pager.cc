@@ -15,28 +15,31 @@ PageId Pager::Allocate() {
   if (!free_list_.empty()) {
     PageId id = free_list_.back();
     free_list_.pop_back();
-    pages_[id - 1] = std::make_unique<Page>(page_size_);
+    pages_.At(id) = std::make_unique<Page>(page_size_);
     return id;
   }
-  pages_.push_back(std::make_unique<Page>(page_size_));
-  return static_cast<PageId>(pages_.size());
+  const PageId id = max_page_id() + 1;
+  pages_.GrowOrDie(id, "Pager");
+  pages_.At(id) = std::make_unique<Page>(page_size_);
+  pages_.Publish(id);
+  return id;
 }
 
 void Pager::Free(PageId id) {
   assert(IsLive(id));
-  pages_[id - 1].reset();
+  pages_.At(id).reset();
   free_list_.push_back(id);
   --live_count_;
 }
 
 Page* Pager::GetPage(PageId id) {
-  if (id == kInvalidPageId || id > pages_.size()) return nullptr;
-  return pages_[id - 1].get();
+  if (id == kInvalidPageId || id > max_page_id()) return nullptr;
+  return pages_.At(id).get();
 }
 
 const Page* Pager::GetPage(PageId id) const {
-  if (id == kInvalidPageId || id > pages_.size()) return nullptr;
-  return pages_[id - 1].get();
+  if (id == kInvalidPageId || id > max_page_id()) return nullptr;
+  return pages_.At(id).get();
 }
 
 Status Pager::ReadPage(PageId id, char* out) const {
@@ -67,10 +70,13 @@ std::unique_ptr<Pager> Pager::CreateForRestore(uint32_t page_size,
 }
 
 Status Pager::BeginRestore(PageId max_page_id) {
-  pages_.clear();
+  pages_.Reset();
   free_list_.clear();
   live_count_ = 0;
-  pages_.resize(max_page_id);
+  if (!pages_.EnsureUpTo(max_page_id)) {
+    return Status::InvalidArgument("restore beyond the page directory");
+  }
+  pages_.Publish(max_page_id);
   // Free slots in descending order so future Allocate() reuses low ids
   // first (cosmetic; any order is correct).
   for (PageId id = max_page_id; id >= 1; --id) {
@@ -80,10 +86,10 @@ Status Pager::BeginRestore(PageId max_page_id) {
 }
 
 Status Pager::RestorePage(PageId id, const Slice& bytes) {
-  if (id == kInvalidPageId || id > pages_.size()) {
+  if (id == kInvalidPageId || id > max_page_id()) {
     return Status::InvalidArgument("restore id out of range");
   }
-  if (pages_[id - 1] != nullptr) {
+  if (pages_.At(id) != nullptr) {
     return Status::AlreadyExists("page restored twice");
   }
   if (bytes.size() != page_size_) {
@@ -91,7 +97,7 @@ Status Pager::RestorePage(PageId id, const Slice& bytes) {
   }
   auto page = std::make_unique<Page>(page_size_);
   std::memcpy(page->data(), bytes.data(), bytes.size());
-  pages_[id - 1] = std::move(page);
+  pages_.At(id) = std::move(page);
   ++live_count_;
   free_list_.erase(std::remove(free_list_.begin(), free_list_.end(), id),
                    free_list_.end());
@@ -99,8 +105,8 @@ Status Pager::RestorePage(PageId id, const Slice& bytes) {
 }
 
 bool Pager::IsLive(PageId id) const {
-  return id != kInvalidPageId && id <= pages_.size() &&
-         pages_[id - 1] != nullptr;
+  return id != kInvalidPageId && id <= max_page_id() &&
+         pages_.At(id) != nullptr;
 }
 
 }  // namespace uindex

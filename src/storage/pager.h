@@ -9,6 +9,7 @@
 
 #include "storage/io_stats.h"
 #include "storage/page.h"
+#include "storage/stable_directory.h"
 #include "util/status.h"
 
 namespace uindex {
@@ -29,7 +30,10 @@ namespace uindex {
 /// (`backs_memory` tells the buffer manager which protocol applies).
 /// Implementations are not thread-safe; callers serialize (the buffer
 /// manager routes all file-store I/O through the pool's one lock, and
-/// mutations require external exclusion).
+/// mutations require external exclusion). One exception: `IsLive`,
+/// `max_page_id` and `DirectPage` of a live page may run beside the single
+/// writer's `Allocate`/`Free`, since readers call them under the
+/// database's shared latch.
 class PageStore {
  public:
   virtual ~PageStore() = default;
@@ -88,6 +92,12 @@ class PageStore {
 /// identical geometry preserves the metric exactly (see DESIGN.md,
 /// "Substitutions"). Pages are allocated sequentially starting at id 1;
 /// freed pages go on a free list and are reused.
+///
+/// The page directory never moves (a `StableDirectory`: a fixed table of
+/// chunk pointers whose chunks, once allocated, stay put). A reader
+/// resolving a live page (`GetPage` under the buffer manager's shared
+/// latch) may therefore run beside the writer's `Allocate`; the highest
+/// id is published with release ordering after its slot is filled.
 class Pager : public PageStore {
  public:
   /// Creates a pager whose pages are all `page_size` bytes.
@@ -113,9 +123,7 @@ class Pager : public PageStore {
 
   uint64_t live_page_count() const override { return live_count_; }
 
-  PageId max_page_id() const override {
-    return static_cast<PageId>(pages_.size());
-  }
+  PageId max_page_id() const override { return pages_.max_id(); }
 
   bool backs_memory() const override { return true; }
   Page* DirectPage(PageId id) override { return GetPage(id); }
@@ -134,8 +142,9 @@ class Pager : public PageStore {
 
  private:
   uint32_t page_size_;
-  // pages_[i] backs page id i+1; nullptr for freed pages.
-  std::vector<std::unique_ptr<Page>> pages_;
+  // pages_.At(id) backs page id `id` (slot 0 unused); nullptr for freed
+  // pages. 4096 chunks of 4096 slots: ids below 16M.
+  StableDirectory<std::unique_ptr<Page>, 4096, 4096> pages_;
   std::vector<PageId> free_list_;
   uint64_t live_count_ = 0;
 };

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "storage/env/env.h"
@@ -238,6 +240,59 @@ TEST(FilePagerTest, AllocateWriteReadFree) {
   // Next-fit recycles the freed slot eventually.
   const PageId c = pager.Allocate();
   EXPECT_TRUE(pager.IsLive(c));
+}
+
+TEST(FilePagerTest, ReadersSeeLivenessWhileTheWriterAllocates) {
+  // Readers probe IsLive under a database's shared latch while the writer
+  // allocates and frees; the bitmap spans several chunks here. Ids that
+  // are multiples of 10 flip (freed and re-allocated), every other id
+  // below `stable` must read live throughout. Under ThreadSanitizer this
+  // is the race check for the liveness bitmap.
+  constexpr PageId kPages = 150000;
+  FaultInjectingEnv env;
+  Result<std::unique_ptr<FilePager>> created =
+      FilePager::Create(&env, "/data", kPage);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  FilePager& pager = *created.value();
+  std::atomic<PageId> stable{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      PageId probe = 1 + r;
+      while (!done.load(std::memory_order_acquire)) {
+        const PageId limit = stable.load(std::memory_order_acquire);
+        if (limit == 0) continue;
+        probe = 1 + (probe * 7919) % limit;
+        if (probe % 10 != 0 && !pager.IsLive(probe)) mismatches.fetch_add(1);
+        if (pager.IsLive(kPages + 1)) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (PageId i = 1; i <= kPages; ++i) {
+    ASSERT_EQ(pager.Allocate(), i);
+    if (i % 10 == 0) {
+      pager.Free(i);
+      ASSERT_EQ(pager.Allocate(), i);  // Next-fit reuses the freed id.
+    }
+    stable.store(i, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(pager.live_page_count(), kPages);
+  EXPECT_EQ(pager.max_page_id(), kPages);
+
+  // The bitmap survives a sync and reopen across chunk boundaries.
+  pager.Free(65536);
+  ASSERT_TRUE(pager.Sync().ok());
+  Result<std::unique_ptr<FilePager>> opened = FilePager::Open(&env, "/data");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value()->live_page_count(), kPages - 1);
+  EXPECT_FALSE(opened.value()->IsLive(65536));
+  EXPECT_TRUE(opened.value()->IsLive(65537));
+  EXPECT_TRUE(opened.value()->IsLive(kPages));
 }
 
 TEST(FilePagerTest, SyncThenOpenRoundtrip) {

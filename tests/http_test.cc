@@ -246,7 +246,9 @@ TEST_F(HttpGatewayTest, ShedOnOneProtocolIsObservableOnTheOther) {
   Result<net::Client::QueryResult> in_flight = Status::NotFound("unset");
   std::thread blocked(
       [&] { in_flight = binary.value()->Query(PriceQuery(3)); });
-  while (pool.queued() == 0) std::this_thread::yield();
+  // Admitted, not merely queued: the blocker alone makes the pool queue
+  // non-empty until the worker picks it up.
+  while (server_->admission().inflight() == 0) std::this_thread::yield();
 
   // ...so an HTTP query is shed with a typed 429.
   std::unique_ptr<HttpClient> client = MustConnect();
@@ -273,6 +275,8 @@ TEST_F(HttpGatewayTest, ShedOnOneProtocolIsObservableOnTheOther) {
   cv.notify_all();
   blocked.join();
   ASSERT_TRUE(in_flight.ok()) << in_flight.status().ToString();
+  // The slot is freed only after the response is written; wait for it.
+  while (server_->admission().inflight() != 0) std::this_thread::yield();
   // The shed HTTP connection is still usable afterwards.
   Result<HttpClient::Response> retry =
       client->Post("/v1/query", QueryBody(4));

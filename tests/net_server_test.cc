@@ -238,9 +238,10 @@ TEST_F(NetServerTest, AdmissionControlShedsWithTypedBusy) {
 
   Result<Client::QueryResult> first_result = Status::NotFound("unset");
   std::thread blocked([&] { first_result = first->Query(PriceQuery(3)); });
-  // The first query is admitted once its task lands in the pool queue
-  // (behind the blocker).
-  while (pool.queued() == 0) std::this_thread::yield();
+  // Wait until the first query holds the only in-flight slot. The pool
+  // queue is no signal: it is non-empty while the blocker itself waits for
+  // the worker, before the query has been admitted.
+  while (server_->admission().inflight() == 0) std::this_thread::yield();
 
   Result<Client::QueryResult> shed = second->Query(PriceQuery(4));
   ASSERT_FALSE(shed.ok());
@@ -256,6 +257,9 @@ TEST_F(NetServerTest, AdmissionControlShedsWithTypedBusy) {
   cv.notify_all();
   blocked.join();
   ASSERT_TRUE(first_result.ok()) << first_result.status().ToString();
+  // The server frees the slot only after the response is written, so the
+  // client can hold the answer before the slot is back; wait for it.
+  while (server_->admission().inflight() != 0) std::this_thread::yield();
   // The shed connection is still usable afterwards.
   EXPECT_TRUE(second->Query(PriceQuery(4)).ok());
 }
@@ -278,7 +282,7 @@ TEST_F(NetServerTest, GracefulShutdownDrainsInFlightQueries) {
   ASSERT_NE(client, nullptr);
   Result<Client::QueryResult> in_flight = Status::NotFound("unset");
   std::thread query([&] { in_flight = client->Query(PriceQuery(7)); });
-  while (pool.queued() == 0) std::this_thread::yield();
+  while (server_->admission().inflight() == 0) std::this_thread::yield();
 
   std::atomic<bool> shutdown_done{false};
   std::thread shutdown([&] {

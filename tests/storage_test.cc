@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include "storage/buffer_manager.h"
 #include "storage/overflow.h"
 #include "storage/pager.h"
+#include "storage/stable_directory.h"
 #include "util/random.h"
 
 namespace uindex {
@@ -43,6 +49,89 @@ TEST(PagerTest, PagesAreZeroedOnAllocation) {
   const PageId b = pager.Allocate();
   ASSERT_EQ(a, b);
   EXPECT_EQ(pager.GetPage(b)->data()[0], 0);
+}
+
+TEST(StableDirectoryTest, SlotsStayPutAsItGrows) {
+  StableDirectory<int, 4, 3> dir;  // 12 slots.
+  ASSERT_TRUE(dir.EnsureUpTo(0));
+  int* first = &dir.At(0);
+  EXPECT_EQ(*first, 0);  // Value-initialised.
+  *first = 7;
+  ASSERT_TRUE(dir.EnsureUpTo(11));
+  EXPECT_EQ(&dir.At(0), first);
+  EXPECT_EQ(dir.At(0), 7);
+  EXPECT_EQ(dir.At(11), 0);
+  EXPECT_FALSE(dir.EnsureUpTo(12));
+  EXPECT_EQ(dir.max_id(), 0u);
+  dir.Publish(11);
+  EXPECT_EQ(dir.max_id(), 11u);
+  dir.Reset();
+  EXPECT_EQ(dir.max_id(), 0u);
+  ASSERT_TRUE(dir.EnsureUpTo(5));
+  EXPECT_EQ(dir.At(0), 0);  // Fresh chunks after a reset.
+}
+
+TEST(PagerTest, ReadersResolvePagesWhileTheWriterAllocates) {
+  // The writer allocates across several directory chunks while readers
+  // resolve every id published so far. A page's content is checked once
+  // the writer has released it through `written`; before that only its
+  // slot is resolved. Under ThreadSanitizer this is the race check for a
+  // directory that never moves.
+  constexpr PageId kPages = 20000;
+  Pager pager(64);
+  std::atomic<PageId> written{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Random rng(17 + r);
+      while (!done.load(std::memory_order_acquire)) {
+        const PageId max = pager.max_page_id();
+        if (max == 0) continue;
+        const PageId id = 1 + rng.Uniform(max);
+        const Page* page = pager.GetPage(id);
+        if (page == nullptr || page->size() != 64) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        if (id <= written.load(std::memory_order_acquire)) {
+          PageId stored = 0;
+          std::memcpy(&stored, page->data(), sizeof(stored));
+          if (stored != id) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (PageId i = 1; i <= kPages; ++i) {
+    const PageId id = pager.Allocate();
+    ASSERT_EQ(id, i);
+    std::memcpy(pager.GetPage(id)->data(), &id, sizeof(id));
+    written.store(id, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(pager.live_page_count(), kPages);
+  EXPECT_EQ(pager.max_page_id(), kPages);
+  EXPECT_EQ(pager.GetPage(kPages + 1), nullptr);
+}
+
+TEST(PagerTest, RestoreRebuildsTheDirectory) {
+  Pager pager(64);
+  for (int i = 0; i < 5000; ++i) pager.Allocate();
+  ASSERT_TRUE(pager.BeginRestore(4100).ok());
+  EXPECT_EQ(pager.max_page_id(), 4100u);
+  EXPECT_EQ(pager.live_page_count(), 0u);
+  EXPECT_EQ(pager.GetPage(4100), nullptr);
+  const std::string bytes(64, 'r');
+  ASSERT_TRUE(pager.RestorePage(4100, Slice(bytes)).ok());
+  ASSERT_TRUE(pager.IsLive(4100));
+  EXPECT_EQ(pager.GetPage(4100)->data()[0], 'r');
+  EXPECT_FALSE(pager.RestorePage(4101, Slice(bytes)).ok());
+  // Free ids are reused lowest first; the directory does not grow.
+  EXPECT_EQ(pager.Allocate(), 1u);
+  EXPECT_EQ(pager.max_page_id(), 4100u);
 }
 
 TEST(BufferManagerTest, CountsDistinctReadsPerQueryEpoch) {
