@@ -31,28 +31,6 @@ void AppendGateMetrics(const net::AdmissionGate& gate, std::string* out) {
   Metric(out, "uindex_admission_shed_total", gate.shed_total());
 }
 
-// A fresh per-request session starts at zero, so its post-query stats ARE
-// the per-query delta — same numbers a binary kRows response carries.
-net::WireQueryStats WireStatsOf(const Session::Stats& s) {
-  net::WireQueryStats d;
-  d.pages_read = s.pages_read;
-  d.nodes_parsed = s.nodes_parsed;
-  d.node_cache_hits = s.node_cache_hits;
-  d.prefetch_issued = s.prefetch_issued;
-  d.prefetch_hits = s.prefetch_hits;
-  d.prefetch_wasted = s.prefetch_wasted;
-  d.pool_hits = s.pool_hits;
-  d.pool_misses = s.pool_misses;
-  d.evictions = s.evictions;
-  d.writebacks = s.writebacks;
-  d.epochs_published = s.epochs_published;
-  d.pages_cow = s.pages_cow;
-  d.commit_batches = s.commit_batches;
-  d.commit_records = s.commit_records;
-  d.reader_pin_max_age_us = s.reader_pin_max_age_us;
-  return d;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------- ServerBackend
@@ -67,7 +45,9 @@ Result<QueryReply> ServerBackend::Query(const std::string& oql) {
   reply.count = result.value().count;
   reply.used_index = result.value().used_index;
   reply.plan = std::move(result.value().plan);
-  reply.stats = WireStatsOf(session.stats());
+  // A fresh per-request session is its own per-query delta — the same
+  // numbers a binary kRows response carries.
+  reply.stats = net::WireStatsDelta(Session::Stats(), session.stats());
   return reply;
 }
 
@@ -154,19 +134,7 @@ void ServerBackend::AppendMetrics(std::string* out) const {
 // ---------------------------------------------------------- RouterBackend
 
 Result<QueryReply> RouterBackend::Query(const std::string& oql) {
-  net::AdmissionGate& gate = server_->admission();
-  switch (gate.Admit()) {
-    case net::AdmissionGate::Outcome::kShuttingDown:
-      return Status::ResourceExhausted("router shutting down");
-    case net::AdmissionGate::Outcome::kBusy:
-      return Status::ResourceExhausted(
-          "busy: query shed by admission control; retry later");
-    case net::AdmissionGate::Outcome::kAdmitted:
-      break;
-  }
-  Result<net::Router::QueryOutcome> result =
-      server_->router()->Query(oql);
-  gate.Release();
+  Result<net::Router::QueryOutcome> result = server_->ExecuteExternal(oql);
   UINDEX_RETURN_IF_ERROR(result.status());
   QueryReply reply;
   reply.oids = std::move(result.value().oids);

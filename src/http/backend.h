@@ -58,9 +58,6 @@ class GatewayBackend {
   /// IoStats, MVCC, shard/router state).
   virtual void AppendMetrics(std::string* out) const = 0;
 
-  /// The shared admission budget (for gauges and shutdown coordination).
-  virtual net::AdmissionGate& gate() = 0;
-
   /// True once the underlying server began a graceful drain.
   virtual bool draining() const = 0;
 };
@@ -75,7 +72,6 @@ class ServerBackend : public GatewayBackend {
   Result<QueryReply> Query(const std::string& oql) override;
   Status Dml(const DmlOp& op, Oid* created) override;
   void AppendMetrics(std::string* out) const override;
-  net::AdmissionGate& gate() override { return server_->admission(); }
   bool draining() const override { return server_->draining(); }
 
  private:
@@ -92,7 +88,6 @@ class RouterBackend : public GatewayBackend {
   Result<QueryReply> Query(const std::string& oql) override;
   Status Dml(const DmlOp& op, Oid* created) override;
   void AppendMetrics(std::string* out) const override;
-  net::AdmissionGate& gate() override { return server_->admission(); }
   bool draining() const override { return server_->draining(); }
 
  private:

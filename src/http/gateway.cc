@@ -11,10 +11,6 @@ namespace http {
 
 namespace {
 
-// How often the accept loop wakes to check the stopping flag and reap
-// finished connection threads (matches net::Server).
-constexpr int kAcceptTickMs = 200;
-
 // Status → HTTP code, kept 1:1 with the binary protocol's taxonomy: a
 // shed is 429 (kBusy on the wire), a drain is 503 (kError/"shutting
 // down"), a parse error is 400 carrying the same caret diagnostics.
@@ -25,39 +21,23 @@ int HttpStatusFor(const Status& status) {
   }
   if (status.IsNotSupported()) return 501;
   if (status.IsResourceExhausted()) {
-    return status.message().rfind("busy:", 0) == 0 ? 429 : 503;
+    return net::IsShed(status) ? 429 : 503;
   }
   if (status.IsUnavailable() || status.IsStaleVersion()) return 503;
   return 500;
 }
 
 void AppendStatsJson(const net::WireQueryStats& s, std::string* out) {
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"pages_read\":%llu,\"nodes_parsed\":%llu,"
-      "\"node_cache_hits\":%llu,\"prefetch_issued\":%llu,"
-      "\"prefetch_hits\":%llu,\"prefetch_wasted\":%llu,"
-      "\"pool_hits\":%llu,\"pool_misses\":%llu,\"evictions\":%llu,"
-      "\"writebacks\":%llu,\"epochs_published\":%llu,\"pages_cow\":%llu,"
-      "\"commit_batches\":%llu,\"commit_records\":%llu,"
-      "\"reader_pin_max_age_us\":%llu}",
-      static_cast<unsigned long long>(s.pages_read),
-      static_cast<unsigned long long>(s.nodes_parsed),
-      static_cast<unsigned long long>(s.node_cache_hits),
-      static_cast<unsigned long long>(s.prefetch_issued),
-      static_cast<unsigned long long>(s.prefetch_hits),
-      static_cast<unsigned long long>(s.prefetch_wasted),
-      static_cast<unsigned long long>(s.pool_hits),
-      static_cast<unsigned long long>(s.pool_misses),
-      static_cast<unsigned long long>(s.evictions),
-      static_cast<unsigned long long>(s.writebacks),
-      static_cast<unsigned long long>(s.epochs_published),
-      static_cast<unsigned long long>(s.pages_cow),
-      static_cast<unsigned long long>(s.commit_batches),
-      static_cast<unsigned long long>(s.commit_records),
-      static_cast<unsigned long long>(s.reader_pin_max_age_us));
-  *out += buf;
+  char sep = '{';
+  for (const net::WireStatField& f : net::kWireStatFields) {
+    *out += sep;
+    *out += '"';
+    *out += f.name;
+    *out += "\":";
+    *out += std::to_string(s.*f.wire);
+    sep = ',';
+  }
+  *out += '}';
 }
 
 uint64_t SteadySeconds() {
@@ -70,7 +50,23 @@ uint64_t SteadySeconds() {
 }  // namespace
 
 HttpGateway::HttpGateway(GatewayBackend* backend, GatewayOptions options)
-    : backend_(backend), options_(std::move(options)) {}
+    : backend_(backend),
+      options_(std::move(options)),
+      qps_bucket_start_(SteadySeconds()),
+      runtime_("gateway", options_.max_connections, &counters_,
+               /*gate=*/nullptr,
+               {[this](int fd) -> std::unique_ptr<net::Socket> {
+                  return std::make_unique<HttpConn>(fd, options_.limits);
+                },
+                [](net::Socket* conn) {
+                  static_cast<HttpConn*>(conn)->WriteResponse(
+                      503, "application/json",
+                      "{\"error\":\"too many connections\"}\n",
+                      /*keep_alive=*/false);
+                },
+                [this](net::Socket* conn) {
+                  ServeConnection(static_cast<HttpConn*>(conn));
+                }}) {}
 
 Result<std::unique_ptr<HttpGateway>> HttpGateway::Start(
     GatewayBackend* backend, GatewayOptions options) {
@@ -80,69 +76,34 @@ Result<std::unique_ptr<HttpGateway>> HttpGateway::Start(
   std::unique_ptr<HttpGateway> gw(
       new HttpGateway(backend, std::move(options)));
   UINDEX_RETURN_IF_ERROR(
-      gw->listener_.Open(gw->options_.host, gw->options_.port));
-  gw->port_ = gw->listener_.port();
-  gw->qps_bucket_start_ = SteadySeconds();
-  gw->accept_thread_ = std::thread([g = gw.get()] { g->AcceptLoop(); });
+      gw->runtime_.Start(gw->options_.host, gw->options_.port));
   return gw;
 }
 
-HttpGateway::~HttpGateway() { Shutdown(); }
-
-void HttpGateway::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = listener_.AcceptOnce(kAcceptTickMs);
-    ReapFinished(/*join_all=*/false);
-    if (fd < 0) continue;
-    if (active_connections() >= options_.max_connections) {
-      HttpConn reject(fd, options_.limits);
-      reject.WriteResponse(503, "application/json",
-                           "{\"error\":\"too many connections\"}\n",
-                           /*keep_alive=*/false);
-      continue;
-    }
-    counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-    counters_.active_connections.fetch_add(1, std::memory_order_relaxed);
-    auto state = std::make_unique<ConnState>();
-    state->conn = std::make_unique<HttpConn>(fd, options_.limits);
-    ConnState* raw = state.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(std::move(state));
-    }
-    raw->thread = std::thread([this, raw] { ServeConnection(raw); });
-  }
-}
-
-void HttpGateway::ServeConnection(ConnState* state) {
-  HttpConn* conn = state->conn.get();
+void HttpGateway::ServeConnection(HttpConn* conn) {
   for (;;) {
     HttpRequest request;
     int http_status = 0;
     std::string error;
     const HttpConn::Outcome outcome =
         conn->ReadRequest(&request, &http_status, &error);
-    if (outcome == HttpConn::Outcome::kClosed ||
-        outcome == HttpConn::Outcome::kIdleTimeout) {
-      break;
-    }
     if (outcome == HttpConn::Outcome::kBadRequest) {
       counters_.malformed_requests.fetch_add(1, std::memory_order_relaxed);
       WriteError(conn, http_status, error, /*keep_alive=*/false);
-      break;
+      return;
     }
-    if (stopping_.load(std::memory_order_acquire)) {
-      WriteError(conn, 503, "gateway shutting down", /*keep_alive=*/false);
-      break;
+    if (outcome != HttpConn::Outcome::kRequest) return;  // closed or idle
+    if (!runtime_.BeginRequest()) {
+      WriteError(conn, 503, runtime_.ShuttingDown().message(),
+                 /*keep_alive=*/false);
+      return;
     }
     counters_.requests_total.fetch_add(1, std::memory_order_relaxed);
     RecordRequestForQps();
-    if (!Dispatch(conn, request)) break;
-    if (!request.keep_alive) break;
+    const bool keep = Dispatch(conn, request) && request.keep_alive;
+    runtime_.EndRequest();
+    if (!keep) return;
   }
-  conn->ShutdownBoth();
-  counters_.active_connections.fetch_sub(1, std::memory_order_relaxed);
-  state->done.store(true, std::memory_order_release);
 }
 
 bool HttpGateway::Dispatch(HttpConn* conn, const HttpRequest& request) {
@@ -175,7 +136,7 @@ bool HttpGateway::Dispatch(HttpConn* conn, const HttpRequest& request) {
 }
 
 bool HttpGateway::HandleHealthz(HttpConn* conn, const HttpRequest& request) {
-  if (backend_->draining() || stopping_.load(std::memory_order_acquire)) {
+  if (backend_->draining() || runtime_.draining()) {
     counters_.requests_server_error.fetch_add(1, std::memory_order_relaxed);
     return conn->WriteResponse(503, "application/json",
                                "{\"status\":\"draining\"}\n",
@@ -380,31 +341,6 @@ double HttpGateway::QpsOverWindow() {
   // Skip the in-progress current second; average the completed ones.
   for (int i = 1; i < kQpsWindowSecs; ++i) total += qps_buckets_[i];
   return static_cast<double>(total) / (kQpsWindowSecs - 1);
-}
-
-void HttpGateway::ReapFinished(bool join_all) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if (join_all || (*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void HttpGateway::Shutdown() {
-  std::call_once(shutdown_once_, [this] {
-    stopping_.store(true, std::memory_order_release);
-    if (accept_thread_.joinable()) accept_thread_.join();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (const auto& state : conns_) state->conn->ShutdownBoth();
-    }
-    ReapFinished(/*join_all=*/true);
-    listener_.Close();
-  });
 }
 
 }  // namespace http

@@ -3,15 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "http/backend.h"
 #include "http/http_conn.h"
-#include "net/listener.h"
+#include "net/conn_runtime.h"
 #include "util/status.h"
 
 namespace uindex {
@@ -35,9 +33,10 @@ struct GatewayOptions {
 /// The gateway does NOT own execution: every query and mutation goes
 /// through a `GatewayBackend`, which routes it onto the binary server's
 /// worker pool under the binary server's admission gate — one budget for
-/// both protocols, by construction. Threading mirrors `net::Server`: one
-/// accept thread, one thread per connection, keep-alive until the peer
-/// closes, errors poison only the offending connection.
+/// both protocols, by construction. It runs on the same connection runtime
+/// as `net::Server` (net/conn_runtime.h): one accept thread, one thread per
+/// connection, keep-alive until the peer closes, errors poison only the
+/// offending connection, and a drain delivers every request already read.
 ///
 /// Error mapping (kept 1:1 with Status codes so clients see the same
 /// taxonomy binary clients do):
@@ -49,9 +48,9 @@ struct GatewayOptions {
 ///   anything else              → 500
 class HttpGateway {
  public:
-  struct Counters {
-    std::atomic<uint64_t> accepted{0};
-    std::atomic<uint64_t> active_connections{0};
+  /// `busy_rejected` (ConnCounters) counts over-cap 503s; an admission
+  /// shed is counted by the gate's owner, and here as `requests_shed`.
+  struct Counters : net::ConnCounters {
     std::atomic<uint64_t> requests_total{0};
     std::atomic<uint64_t> requests_ok{0};
     std::atomic<uint64_t> requests_client_error{0};
@@ -65,33 +64,27 @@ class HttpGateway {
   static Result<std::unique_ptr<HttpGateway>> Start(GatewayBackend* backend,
                                                     GatewayOptions options);
 
-  /// Graceful shutdown (idempotent): stop accepting, finish in-flight
-  /// requests, close every connection, join every thread. The underlying
-  /// backend server's own drain is separate (and usually runs after).
-  void Shutdown();
+  /// Graceful shutdown (idempotent): stop accepting, refuse new requests
+  /// with 503, finish in-flight requests and write their responses, close
+  /// every connection, join every thread. The underlying backend server's
+  /// own drain is separate (and usually runs after).
+  void Shutdown() { runtime_.Shutdown(); }
 
-  ~HttpGateway();
+  ~HttpGateway() { Shutdown(); }
 
   HttpGateway(const HttpGateway&) = delete;
   HttpGateway& operator=(const HttpGateway&) = delete;
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return runtime_.port(); }
   const Counters& counters() const { return counters_; }
   size_t active_connections() const {
     return counters_.active_connections.load(std::memory_order_relaxed);
   }
 
  private:
-  struct ConnState {
-    std::unique_ptr<HttpConn> conn;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   HttpGateway(GatewayBackend* backend, GatewayOptions options);
 
-  void AcceptLoop();
-  void ServeConnection(ConnState* state);
+  void ServeConnection(HttpConn* conn);
   // Routes one request; returns false when the connection should close.
   bool Dispatch(HttpConn* conn, const HttpRequest& request);
   bool HandleQuery(HttpConn* conn, const HttpRequest& request);
@@ -101,18 +94,9 @@ class HttpGateway {
   // Writes a JSON error body; tallies the right counter for `status`.
   bool WriteError(HttpConn* conn, int status, const std::string& message,
                   bool keep_alive);
-  void ReapFinished(bool join_all);
 
   GatewayBackend* backend_;
   GatewayOptions options_;
-
-  net::Listener listener_;
-  uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  std::mutex conns_mu_;
-  std::list<std::unique_ptr<ConnState>> conns_;
 
   // Requests completed in the last few one-second buckets, for the
   // /metrics QPS gauge (coarse by design; the SLO harness measures real
@@ -125,7 +109,7 @@ class HttpGateway {
   double QpsOverWindow();
 
   Counters counters_;
-  std::once_flag shutdown_once_;
+  net::ConnRuntime runtime_;  // Last: its threads use everything above.
 };
 
 }  // namespace http

@@ -1,41 +1,11 @@
 #include "http/http_client.h"
 
-#include <errno.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <string.h>
 #include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 
 namespace uindex {
 namespace http {
 
 namespace {
-
-Status Errno(const char* what) {
-  return Status::ResourceExhausted(std::string(what) + ": " +
-                                   std::strerror(errno));
-}
-
-Status PollFd(int fd, short events, int timeout_ms, const char* what) {
-  struct pollfd pfd;
-  pfd.fd = fd;
-  pfd.events = events;
-  pfd.revents = 0;
-  for (;;) {
-    const int n = ::poll(&pfd, 1, timeout_ms);
-    if (n > 0) return Status::OK();
-    if (n == 0) {
-      return Status::ResourceExhausted(std::string(what) + " timeout");
-    }
-    if (errno == EINTR) continue;
-    return Errno(what);
-  }
-}
 
 std::string Lowercase(std::string s) {
   for (char& c : s) {
@@ -48,101 +18,15 @@ std::string Lowercase(std::string s) {
 
 Result<std::unique_ptr<HttpClient>> HttpClient::Connect(
     const std::string& host, uint16_t port, int timeout_ms) {
-  struct addrinfo hints;
-  std::memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo* res = nullptr;
-  const std::string port_text = std::to_string(port);
-  if (::getaddrinfo(host.c_str(), port_text.c_str(), &hints, &res) != 0 ||
-      res == nullptr) {
-    return Status::InvalidArgument("cannot resolve " + host);
-  }
-  Status last = Status::ResourceExhausted("no addresses for " + host);
-  for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    const int fd =
-        ::socket(ai->ai_family, ai->ai_socktype | SOCK_NONBLOCK, 0);
-    if (fd < 0) {
-      last = Errno("socket");
-      continue;
-    }
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) != 0 &&
-        errno != EINPROGRESS) {
-      last = Errno("connect");
-      ::close(fd);
-      continue;
-    }
-    Status wait = PollFd(fd, POLLOUT, timeout_ms, "connect");
-    if (!wait.ok()) {
-      last = std::move(wait);
-      ::close(fd);
-      continue;
-    }
-    int err = 0;
-    socklen_t err_len = sizeof(err);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0 ||
-        err != 0) {
-      last = Status::ResourceExhausted(
-          std::string("connect: ") + std::strerror(err != 0 ? err : errno));
-      ::close(fd);
-      continue;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    ::freeaddrinfo(res);
-    return std::unique_ptr<HttpClient>(new HttpClient(fd, timeout_ms));
-  }
-  ::freeaddrinfo(res);
-  return last;
+  Result<int> fd = net::Socket::Dial(host, port, timeout_ms);
+  UINDEX_RETURN_IF_ERROR(fd.status());
+  return std::unique_ptr<HttpClient>(new HttpClient(fd.value(), timeout_ms));
 }
 
-HttpClient::~HttpClient() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void HttpClient::ShutdownWrite() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
+void HttpClient::ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
 
 Status HttpClient::SendRaw(const std::string& bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      UINDEX_RETURN_IF_ERROR(PollFd(fd_, POLLOUT, timeout_ms_, "write"));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return Errno("send");
-  }
-  return Status::OK();
-}
-
-Status HttpClient::FillBuffer(bool* eof) {
-  *eof = false;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t r = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (r > 0) {
-      buffer_.append(chunk, static_cast<size_t>(r));
-      return Status::OK();
-    }
-    if (r == 0) {
-      *eof = true;
-      return Status::OK();
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      UINDEX_RETURN_IF_ERROR(PollFd(fd_, POLLIN, timeout_ms_, "read"));
-      continue;
-    }
-    if (errno == EINTR) continue;
-    return Errno("recv");
-  }
+  return SendAll(bytes.data(), bytes.size(), timeout_ms_);
 }
 
 Result<HttpClient::Response> HttpClient::ReadResponse() {
@@ -152,7 +36,7 @@ Result<HttpClient::Response> HttpClient::ReadResponse() {
     head_end = buffer_.find("\r\n\r\n");
     if (head_end != std::string::npos) break;
     bool eof = false;
-    UINDEX_RETURN_IF_ERROR(FillBuffer(&eof));
+    UINDEX_RETURN_IF_ERROR(RecvSome(&buffer_, timeout_ms_, &eof));
     if (eof) {
       return Status::Corruption("connection closed before response head");
     }
@@ -198,7 +82,7 @@ Result<HttpClient::Response> HttpClient::ReadResponse() {
   }
   while (buffer_.size() < content_length) {
     bool eof = false;
-    UINDEX_RETURN_IF_ERROR(FillBuffer(&eof));
+    UINDEX_RETURN_IF_ERROR(RecvSome(&buffer_, timeout_ms_, &eof));
     if (eof) return Status::Corruption("connection closed mid-body");
   }
   response.body = buffer_.substr(0, content_length);

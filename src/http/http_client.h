@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/conn.h"
 #include "util/status.h"
 
 namespace uindex {
@@ -16,7 +17,7 @@ namespace http {
 /// one request at a time, Content-Length framing only (all the gateway
 /// emits). Serves the SLO harness, the hostility tests, and the
 /// `http_probe` smoke binary — no curl dependency anywhere.
-class HttpClient {
+class HttpClient : public net::Socket {
  public:
   struct Response {
     int status = 0;
@@ -34,10 +35,6 @@ class HttpClient {
   static Result<std::unique_ptr<HttpClient>> Connect(const std::string& host,
                                                      uint16_t port,
                                                      int timeout_ms = 5000);
-
-  ~HttpClient();
-  HttpClient(const HttpClient&) = delete;
-  HttpClient& operator=(const HttpClient&) = delete;
 
   Result<Response> Get(const std::string& path);
   Result<Response> Post(const std::string& path, const std::string& body,
@@ -57,13 +54,11 @@ class HttpClient {
   void ShutdownWrite();
 
  private:
-  explicit HttpClient(int fd, int timeout_ms)
-      : fd_(fd), timeout_ms_(timeout_ms) {}
+  HttpClient(int fd, int timeout_ms)
+      : net::Socket(fd), timeout_ms_(timeout_ms) {}
 
   Result<Response> RoundTrip(const std::string& request);
-  Status FillBuffer(bool* eof);
 
-  int fd_;
   int timeout_ms_;
   std::string buffer_;
 };

@@ -1,41 +1,9 @@
 #include "http/http_conn.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
-
 namespace uindex {
 namespace http {
 
 namespace {
-
-Status Errno(const char* what) {
-  return Status::ResourceExhausted(std::string(what) + ": " +
-                                   std::strerror(errno));
-}
-
-Status PollFd(int fd, short events, int timeout_ms, const char* what) {
-  struct pollfd pfd;
-  pfd.fd = fd;
-  pfd.events = events;
-  pfd.revents = 0;
-  for (;;) {
-    const int n = ::poll(&pfd, 1, timeout_ms);
-    if (n > 0) return Status::OK();
-    if (n == 0) {
-      return Status::ResourceExhausted(std::string(what) + " timeout");
-    }
-    if (errno == EINTR) continue;
-    return Errno(what);
-  }
-}
 
 std::string Lowercase(const std::string& s) {
   std::string out = s;
@@ -75,40 +43,7 @@ const char* StatusReason(int status) {
 }
 
 HttpConn::HttpConn(int fd, HttpConnLimits limits)
-    : fd_(fd), limits_(limits) {
-  int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const int flags = ::fcntl(fd_, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-}
-
-HttpConn::~HttpConn() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void HttpConn::ShutdownBoth() { ::shutdown(fd_, SHUT_RDWR); }
-
-Status HttpConn::FillBuffer(int timeout_ms, bool* eof) {
-  *eof = false;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t r = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (r > 0) {
-      buffer_.append(chunk, static_cast<size_t>(r));
-      return Status::OK();
-    }
-    if (r == 0) {
-      *eof = true;
-      return Status::OK();
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      UINDEX_RETURN_IF_ERROR(PollFd(fd_, POLLIN, timeout_ms, "read"));
-      continue;
-    }
-    if (errno == EINTR) continue;
-    return Errno("recv");
-  }
-}
+    : net::Socket(fd), limits_(limits) {}
 
 HttpConn::Outcome HttpConn::ReadRequest(HttpRequest* request,
                                         int* http_status,
@@ -134,7 +69,7 @@ HttpConn::Outcome HttpConn::ReadRequest(HttpRequest* request,
     // started, a stall is a slow-loris and gets the (shorter) io timeout.
     const int timeout =
         started ? limits_.io_timeout_ms : limits_.idle_timeout_ms;
-    const Status st = FillBuffer(timeout, &eof);
+    const Status st = RecvSome(&buffer_, timeout, &eof);
     if (!st.ok()) {
       if (!started) return Outcome::kIdleTimeout;
       *http_status = 408;
@@ -235,7 +170,7 @@ HttpConn::Outcome HttpConn::ReadRequest(HttpRequest* request,
   // ---- body ------------------------------------------------------------
   while (buffer_.size() < content_length) {
     bool eof = false;
-    const Status st = FillBuffer(limits_.io_timeout_ms, &eof);
+    const Status st = RecvSome(&buffer_, limits_.io_timeout_ms, &eof);
     if (!st.ok()) {
       *http_status = 408;
       *error = "timed out reading body (got " +
@@ -279,23 +214,7 @@ Status HttpConn::WriteResponse(int status, const std::string& content_type,
   out += keep_alive ? "keep-alive" : "close";
   out += "\r\n\r\n";
   out += body;
-  size_t sent = 0;
-  while (sent < out.size()) {
-    const ssize_t n =
-        ::send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      UINDEX_RETURN_IF_ERROR(
-          PollFd(fd_, POLLOUT, limits_.io_timeout_ms, "write"));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return Errno("send");
-  }
-  return Status::OK();
+  return SendAll(out.data(), out.size(), limits_.io_timeout_ms);
 }
 
 }  // namespace http

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/conn.h"
 #include "util/status.h"
 
 namespace uindex {
@@ -45,12 +46,13 @@ struct HttpConnLimits {
 };
 
 /// A blocking HTTP/1.1 server-side connection: Content-Length framing,
-/// keep-alive, bounded everything. Owns the fd. Mirrors `net::Conn`'s
-/// robustness contract — a malformed or hostile request poisons only this
-/// connection, and the poisoning is announced with a typed 4xx first.
+/// keep-alive, bounded everything. Owns the fd (`net::Socket`). Mirrors
+/// `net::Conn`'s robustness contract — a malformed or hostile request
+/// poisons only this connection, and the poisoning is announced with a
+/// typed 4xx first.
 ///
 /// Not thread-safe; one connection thread drives it (the server shape).
-class HttpConn {
+class HttpConn : public net::Socket {
  public:
   enum class Outcome {
     kRequest,      ///< `*request` holds one complete request.
@@ -59,11 +61,7 @@ class HttpConn {
     kBadRequest,   ///< Typed rejection; `*http_status` + `*error` say why.
   };
 
-  explicit HttpConn(int fd, HttpConnLimits limits);
-  ~HttpConn();
-
-  HttpConn(const HttpConn&) = delete;
-  HttpConn& operator=(const HttpConn&) = delete;
+  HttpConn(int fd, HttpConnLimits limits);
 
   /// Reads and parses one request. On `kBadRequest`, `*http_status` is the
   /// response code to send (400/408/413/431/501) and `*error` a one-line
@@ -76,15 +74,7 @@ class HttpConn {
   Status WriteResponse(int status, const std::string& content_type,
                        const std::string& body, bool keep_alive);
 
-  /// Unblocks a parked reader from another thread (shutdown path).
-  void ShutdownBoth();
-
  private:
-  // Pulls more bytes into buffer_. `timeout_ms` bounds the wait; sets
-  // *eof when the peer closed.
-  Status FillBuffer(int timeout_ms, bool* eof);
-
-  int fd_;
   HttpConnLimits limits_;
   std::string buffer_;  ///< Unconsumed bytes (tolerates pipelined peers).
 };

@@ -6,8 +6,21 @@
 #include <cstdint>
 #include <mutex>
 
+#include "util/status.h"
+
 namespace uindex {
 namespace net {
+
+/// A shed is `ResourceExhausted("busy: " + kShedMessage)`: the binary front
+/// ends answer it with `kBusy` (the message alone), the HTTP gateway with a
+/// 429. Every other refusal — a drain included — is a plain error.
+inline constexpr char kShedMessage[] =
+    "query shed by admission control; retry later";
+
+inline bool IsShed(const Status& status) {
+  return status.IsResourceExhausted() &&
+         status.message().rfind("busy: ", 0) == 0;
+}
 
 /// One bounded execution budget shared by every front end of a process.
 ///
@@ -21,9 +34,10 @@ namespace net {
 ///
 /// Shutdown protocol: `BeginShutdown` wakes every queued waiter (they
 /// return `kShuttingDown`) and refuses new admissions; `WaitDrained`
-/// blocks until every admitted request has released — callers release only
-/// after the response reaches the socket, which is what makes a drain a
-/// delivery guarantee.
+/// blocks until every admitted request has released its slot. Delivery of
+/// the responses is the connection runtime's guarantee (net/conn_runtime.h),
+/// not the gate's. Front ends reach the gate through
+/// `ConnRuntime::Admit`, which turns an outcome into a typed `Status`.
 class AdmissionGate {
  public:
   enum class Outcome { kAdmitted, kBusy, kShuttingDown };
@@ -65,8 +79,7 @@ class AdmissionGate {
     return Outcome::kAdmitted;
   }
 
-  /// Returns an admitted slot. Call strictly after the response was
-  /// written (or abandoned) — the drain guarantee depends on it.
+  /// Returns an admitted slot once its request has executed.
   void Release() {
     {
       std::lock_guard<std::mutex> lock(mu_);

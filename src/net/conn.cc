@@ -43,7 +43,7 @@ Status PollFd(int fd, short events, int timeout_ms, const char* what) {
 
 }  // namespace
 
-Conn::Conn(int fd) : fd_(fd) {
+Socket::Socket(int fd) : fd_(fd) {
   int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   // The timeout logic polls, so the descriptor must be non-blocking no
@@ -52,13 +52,58 @@ Conn::Conn(int fd) : fd_(fd) {
   if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
 }
 
-Conn::~Conn() {
+Socket::~Socket() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Result<std::unique_ptr<Conn>> Conn::Dial(const std::string& host,
-                                         uint16_t port,
-                                         int connect_timeout_ms) {
+void Socket::ShutdownBoth() { ::shutdown(fd_, SHUT_RDWR); }
+
+Status Socket::Wait(short events, int timeout_ms, const char* what) {
+  return PollFd(fd_, events, timeout_ms, what);
+}
+
+Status Socket::SendAll(const char* data, size_t n, int timeout_ms) {
+  size_t sent = 0;
+  while (sent < n) {
+    const ssize_t r = ::send(fd_, data + sent, n - sent, MSG_NOSIGNAL);
+    if (r > 0) {
+      sent += static_cast<size_t>(r);
+      continue;
+    }
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      UINDEX_RETURN_IF_ERROR(Wait(POLLOUT, timeout_ms, "write"));
+      continue;
+    }
+    if (r < 0 && errno == EINTR) continue;
+    return Errno("send");
+  }
+  return Status::OK();
+}
+
+Status Socket::RecvSome(std::string* buffer, int timeout_ms, bool* eof) {
+  *eof = false;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t r = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (r > 0) {
+      buffer->append(chunk, static_cast<size_t>(r));
+      return Status::OK();
+    }
+    if (r == 0) {
+      *eof = true;
+      return Status::OK();
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      UINDEX_RETURN_IF_ERROR(Wait(POLLIN, timeout_ms, "read"));
+      continue;
+    }
+    if (errno == EINTR) continue;
+    return Errno("recv");
+  }
+}
+
+Result<int> Socket::Dial(const std::string& host, uint16_t port,
+                         int connect_timeout_ms) {
   struct addrinfo hints;
   std::memset(&hints, 0, sizeof(hints));
   hints.ai_family = AF_UNSPEC;
@@ -99,40 +144,25 @@ Result<std::unique_ptr<Conn>> Conn::Dial(const std::string& host,
       continue;
     }
     ::freeaddrinfo(res);
-    return std::make_unique<Conn>(fd);
+    return fd;
   }
   ::freeaddrinfo(res);
   return last;
 }
 
-Status Conn::WaitReadable(int timeout_ms) {
-  return PollFd(fd_, POLLIN, timeout_ms, "read");
-}
-
-Status Conn::WaitWritable(int timeout_ms) {
-  return PollFd(fd_, POLLOUT, timeout_ms, "write");
+Result<std::unique_ptr<Conn>> Conn::Dial(const std::string& host,
+                                         uint16_t port,
+                                         int connect_timeout_ms) {
+  Result<int> fd = Socket::Dial(host, port, connect_timeout_ms);
+  UINDEX_RETURN_IF_ERROR(fd.status());
+  return std::make_unique<Conn>(fd.value());
 }
 
 Status Conn::WriteFrame(const Slice& payload) {
   std::string frame;
   frame.reserve(kFrameHeaderSize + payload.size());
   AppendFrame(payload, &frame);
-  size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      UINDEX_RETURN_IF_ERROR(WaitWritable(io_timeout_ms_));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return Errno("send");
-  }
-  return Status::OK();
+  return SendAll(frame.data(), frame.size(), io_timeout_ms_);
 }
 
 Status Conn::ReadFully(char* buf, size_t n, int first_timeout_ms,
@@ -155,7 +185,7 @@ Status Conn::ReadFully(char* buf, size_t n, int first_timeout_ms,
       return Status::Corruption("peer closed mid-frame");
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      UINDEX_RETURN_IF_ERROR(WaitReadable(timeout));
+      UINDEX_RETURN_IF_ERROR(Wait(POLLIN, timeout, "read"));
       timeout = io_timeout_ms_;
       continue;
     }
@@ -179,7 +209,7 @@ Result<ReadOutcome> Conn::ReadFrame(std::string* payload, uint32_t max_len,
     } else if (r == 0) {
       return ReadOutcome::kClosed;
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      Status wait = WaitReadable(idle_timeout_ms);
+      Status wait = Wait(POLLIN, idle_timeout_ms, "read");
       if (!wait.ok()) return ReadOutcome::kIdleTimeout;
     } else if (errno != EINTR) {
       return Errno("recv");
@@ -198,8 +228,6 @@ Result<ReadOutcome> Conn::ReadFrame(std::string* payload, uint32_t max_len,
   UINDEX_RETURN_IF_ERROR(VerifyFramePayload(header, Slice(*payload)));
   return ReadOutcome::kFrame;
 }
-
-void Conn::ShutdownBoth() { ::shutdown(fd_, SHUT_RDWR); }
 
 }  // namespace net
 }  // namespace uindex

@@ -19,13 +19,55 @@ enum class ReadOutcome {
   kIdleTimeout,  ///< No first byte arrived within the idle window.
 };
 
+/// An owned, connected TCP socket: non-blocking (every wait is a bounded
+/// `poll`) with TCP_NODELAY (each framing here is request/response with
+/// small messages); the fd is closed on destruction. The base of both
+/// framings' connections — `Conn` and `http::HttpConn` on the server side,
+/// `Conn` and `http::HttpClient` on the client side.
+class Socket {
+ public:
+  /// Takes ownership of a connected socket.
+  explicit Socket(int fd);
+  virtual ~Socket();
+
+  Socket(const Socket&) = delete;
+  Socket& operator=(const Socket&) = delete;
+
+  /// Connects to `host:port` (numeric or resolvable host) within
+  /// `connect_timeout_ms`; returns the connected fd.
+  static Result<int> Dial(const std::string& host, uint16_t port,
+                          int connect_timeout_ms);
+
+  /// Half-closes both directions, unblocking a thread parked in a read (it
+  /// observes EOF or an error on its next wait). The one cross-thread entry
+  /// point — the server runtime's shutdown uses it — and safe to call more
+  /// than once.
+  void ShutdownBoth();
+
+  int fd() const { return fd_; }
+
+ protected:
+  /// Waits until the fd has `events` (POLLIN/POLLOUT) or `timeout_ms`
+  /// passes: OK, or ResourceExhausted("<what> timeout" / errno text).
+  Status Wait(short events, int timeout_ms, const char* what);
+
+  /// Sends all `n` bytes, each stall bounded by `timeout_ms`; never raises
+  /// SIGPIPE.
+  Status SendAll(const char* data, size_t n, int timeout_ms);
+
+  /// Appends whatever arrives next (up to 4 KiB) to `*buffer`, waiting up
+  /// to `timeout_ms`; `*eof` is set when the peer closed instead.
+  Status RecvSome(std::string* buffer, int timeout_ms, bool* eof);
+
+  const int fd_;
+};
+
 /// One TCP connection speaking the framed wire protocol.
 ///
-/// A `Conn` owns its file descriptor and provides blocking, timeout-bounded
-/// frame I/O. It is used by exactly one thread at a time for reads and one
-/// for writes (the server's connection thread does both; `ShutdownBoth` is
-/// the only cross-thread entry point, used to unblock a reader during
-/// server shutdown).
+/// A `Conn` provides blocking, timeout-bounded frame I/O. It is used by
+/// exactly one thread at a time for reads and one for writes (the server's
+/// connection thread does both; `ShutdownBoth` is the only cross-thread
+/// entry point, used to unblock a reader during server shutdown).
 ///
 /// Timeout model: `ReadFrame` waits up to `idle_timeout_ms` for the first
 /// byte of a frame (an idle connection is not an error — the server loops),
@@ -33,18 +75,11 @@ enum class ReadOutcome {
 /// is `ResourceExhausted` and poisons the connection. Writes are bounded by
 /// `io_timeout_ms` per chunk. CRC mismatches and frames above `max_len`
 /// are `Corruption` — the shared framing policy (util/framing.h).
-class Conn {
+class Conn : public Socket {
  public:
-  /// Takes ownership of a connected socket. Sets TCP_NODELAY (the protocol
-  /// is request/response with small frames) and ignores SIGPIPE per-write.
-  explicit Conn(int fd);
-  ~Conn();
+  explicit Conn(int fd) : Socket(fd) {}
 
-  Conn(const Conn&) = delete;
-  Conn& operator=(const Conn&) = delete;
-
-  /// Connects to `host:port` (numeric or resolvable host) within
-  /// `connect_timeout_ms`.
+  /// Connects to `host:port` within `connect_timeout_ms`.
   static Result<std::unique_ptr<Conn>> Dial(const std::string& host,
                                             uint16_t port,
                                             int connect_timeout_ms);
@@ -62,26 +97,13 @@ class Conn {
   Result<ReadOutcome> ReadFrame(std::string* payload, uint32_t max_len,
                                 int idle_timeout_ms);
 
-  /// Half-closes both directions, unblocking any thread inside ReadFrame
-  /// (it observes `kClosed`/an error on its next wait). Safe to call from
-  /// another thread, and more than once.
-  void ShutdownBoth();
-
-  int fd() const { return fd_; }
-
  private:
-  // Waits until `fd_` is readable/writable or `timeout_ms` passes.
-  // Returns OK, ResourceExhausted("timeout"), or ResourceExhausted(err).
-  Status WaitReadable(int timeout_ms);
-  Status WaitWritable(int timeout_ms);
-
   // Reads exactly `n` bytes into `buf`; first byte bounded by
   // `first_timeout_ms` (pass io_timeout_ms_ for mid-frame reads).
-  // `*peer_closed` is set when EOF arrives before any byte.
+  // `*clean_eof` is set when EOF arrives before any byte.
   Status ReadFully(char* buf, size_t n, int first_timeout_ms,
                    bool* clean_eof);
 
-  int fd_;
   int io_timeout_ms_ = 5000;
 };
 

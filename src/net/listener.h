@@ -9,9 +9,9 @@
 namespace uindex {
 namespace net {
 
-/// A bound, listening TCP socket — the bind/listen/getsockname dance that
-/// was duplicated across `Server`, `RouterServer`, and would have been a
-/// third copy in the HTTP gateway. Port 0 binds ephemeral; `port()` then
+/// A bound, listening TCP socket — the bind/listen/getsockname dance behind
+/// the connection runtime (net/conn_runtime.h) that every front end runs
+/// on. Port 0 binds ephemeral; `port()` then
 /// reports the kernel's choice (the smoke scripts parse it from each
 /// binary's "listening on" line, so parallel ctest runs never collide).
 class Listener {
@@ -39,7 +39,8 @@ class Listener {
 
   /// Waits up to `timeout_ms` for a connection and accepts one. Returns
   /// the connected fd, or -1 when the wait timed out / nothing acceptable
-  /// arrived (callers poll in a loop and re-check their stop flag).
+  /// arrived (the runtime's accept loop polls it and re-checks its stop
+  /// flag).
   int AcceptOnce(int timeout_ms);
 
   void Close();

@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/coding.h"
@@ -111,21 +112,9 @@ std::string EncodeRows(const std::vector<Oid>& oids, uint64_t count,
   PutFixed64(&out, count);
   out.push_back(used_index ? 1 : 0);
   PutString(&out, plan);
-  PutFixed64(&out, stats.pages_read);
-  PutFixed64(&out, stats.nodes_parsed);
-  PutFixed64(&out, stats.node_cache_hits);
-  PutFixed64(&out, stats.prefetch_issued);
-  PutFixed64(&out, stats.prefetch_hits);
-  PutFixed64(&out, stats.prefetch_wasted);
-  PutFixed64(&out, stats.pool_hits);
-  PutFixed64(&out, stats.pool_misses);
-  PutFixed64(&out, stats.evictions);
-  PutFixed64(&out, stats.writebacks);
-  PutFixed64(&out, stats.epochs_published);
-  PutFixed64(&out, stats.pages_cow);
-  PutFixed64(&out, stats.commit_batches);
-  PutFixed64(&out, stats.commit_records);
-  PutFixed64(&out, stats.reader_pin_max_age_us);
+  for (const WireStatField& f : kWireStatFields) {
+    PutFixed64(&out, stats.*f.wire);
+  }
   PutFixed32(&out, static_cast<uint32_t>(oids.size()));
   for (const Oid oid : oids) PutFixed32(&out, oid);
   return out;
@@ -168,22 +157,34 @@ std::string EncodeStats(const Session::Stats& stats) {
   PutFixed64(&out, stats.queries);
   PutFixed64(&out, stats.failed);
   PutFixed64(&out, stats.rows);
-  PutFixed64(&out, stats.pages_read);
-  PutFixed64(&out, stats.nodes_parsed);
-  PutFixed64(&out, stats.node_cache_hits);
-  PutFixed64(&out, stats.prefetch_issued);
-  PutFixed64(&out, stats.prefetch_hits);
-  PutFixed64(&out, stats.prefetch_wasted);
-  PutFixed64(&out, stats.pool_hits);
-  PutFixed64(&out, stats.pool_misses);
-  PutFixed64(&out, stats.evictions);
-  PutFixed64(&out, stats.writebacks);
-  PutFixed64(&out, stats.epochs_published);
-  PutFixed64(&out, stats.pages_cow);
-  PutFixed64(&out, stats.commit_batches);
-  PutFixed64(&out, stats.commit_records);
-  PutFixed64(&out, stats.reader_pin_max_age_us);
+  for (const WireStatField& f : kWireStatFields) {
+    PutFixed64(&out, stats.*f.session);
+  }
   return out;
+}
+
+WireQueryStats WireStatsDelta(const Session::Stats& before,
+                              const Session::Stats& after) {
+  WireQueryStats d;
+  for (const WireStatField& f : kWireStatFields) {
+    d.*f.wire = f.gauge ? after.*f.session
+                        : after.*f.session - before.*f.session;
+  }
+  return d;
+}
+
+void AccumulateWireStats(const WireQueryStats& query, WireQueryStats* total) {
+  for (const WireStatField& f : kWireStatFields) {
+    uint64_t& t = total->*f.wire;
+    t = f.gauge ? std::max(t, query.*f.wire) : t + query.*f.wire;
+  }
+}
+
+void AccumulateWireStats(const WireQueryStats& query, Session::Stats* total) {
+  for (const WireStatField& f : kWireStatFields) {
+    uint64_t& t = total->*f.session;
+    t = f.gauge ? std::max(t, query.*f.wire) : t + query.*f.wire;
+  }
 }
 
 Result<Request> DecodeRequest(const Slice& payload) {
@@ -243,36 +244,10 @@ Result<Response> DecodeResponse(const Slice& payload) {
       UINDEX_RETURN_IF_ERROR(ReadU8(payload, &pos, &used));
       r.used_index = used != 0;
       UINDEX_RETURN_IF_ERROR(ReadString(payload, &pos, &r.plan));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.pages_read));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.nodes_parsed));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.node_cache_hits));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.prefetch_issued));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.prefetch_hits));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.prefetch_wasted));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.pool_hits));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.pool_misses));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.evictions));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.writebacks));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.epochs_published));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.pages_cow));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.commit_batches));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.commit_records));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.query_stats.reader_pin_max_age_us));
+      for (const WireStatField& f : kWireStatFields) {
+        UINDEX_RETURN_IF_ERROR(
+            ReadU64(payload, &pos, &(r.query_stats.*f.wire)));
+      }
       uint32_t n = 0;
       UINDEX_RETURN_IF_ERROR(ReadU32(payload, &pos, &n));
       if (payload.size() - pos < static_cast<size_t>(n) * 4) {
@@ -310,36 +285,10 @@ Result<Response> DecodeResponse(const Slice& payload) {
       UINDEX_RETURN_IF_ERROR(ReadU64(payload, &pos, &r.session_stats.queries));
       UINDEX_RETURN_IF_ERROR(ReadU64(payload, &pos, &r.session_stats.failed));
       UINDEX_RETURN_IF_ERROR(ReadU64(payload, &pos, &r.session_stats.rows));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.pages_read));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.nodes_parsed));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.node_cache_hits));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.prefetch_issued));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.prefetch_hits));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.prefetch_wasted));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.pool_hits));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.pool_misses));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.evictions));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.writebacks));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.epochs_published));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.pages_cow));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.commit_batches));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.commit_records));
-      UINDEX_RETURN_IF_ERROR(
-          ReadU64(payload, &pos, &r.session_stats.reader_pin_max_age_us));
+      for (const WireStatField& f : kWireStatFields) {
+        UINDEX_RETURN_IF_ERROR(
+            ReadU64(payload, &pos, &(r.session_stats.*f.session)));
+      }
       break;
     default:
       return Status::Corruption("unknown response op " +

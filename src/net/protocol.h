@@ -110,6 +110,61 @@ struct WireQueryStats {
   uint64_t reader_pin_max_age_us = 0;  ///< Gauge, not a delta.
 };
 
+/// One counter `WireQueryStats` shares with `Session::Stats`.
+struct WireStatField {
+  const char* name;  ///< Also the key of the gateway's JSON "stats" object.
+  uint64_t WireQueryStats::*wire;
+  uint64_t Session::Stats::*session;
+  bool gauge;  ///< A watermark: carried or maxed, never differenced/summed.
+};
+
+/// Every `WireQueryStats` counter in wire order — the one list the codec,
+/// the gateway's JSON, and the conversions below walk. A new per-query
+/// counter is added to both structs and here, nowhere else.
+inline constexpr WireStatField kWireStatFields[] = {
+    {"pages_read", &WireQueryStats::pages_read, &Session::Stats::pages_read,
+     false},
+    {"nodes_parsed", &WireQueryStats::nodes_parsed,
+     &Session::Stats::nodes_parsed, false},
+    {"node_cache_hits", &WireQueryStats::node_cache_hits,
+     &Session::Stats::node_cache_hits, false},
+    {"prefetch_issued", &WireQueryStats::prefetch_issued,
+     &Session::Stats::prefetch_issued, false},
+    {"prefetch_hits", &WireQueryStats::prefetch_hits,
+     &Session::Stats::prefetch_hits, false},
+    {"prefetch_wasted", &WireQueryStats::prefetch_wasted,
+     &Session::Stats::prefetch_wasted, false},
+    {"pool_hits", &WireQueryStats::pool_hits, &Session::Stats::pool_hits,
+     false},
+    {"pool_misses", &WireQueryStats::pool_misses,
+     &Session::Stats::pool_misses, false},
+    {"evictions", &WireQueryStats::evictions, &Session::Stats::evictions,
+     false},
+    {"writebacks", &WireQueryStats::writebacks, &Session::Stats::writebacks,
+     false},
+    {"epochs_published", &WireQueryStats::epochs_published,
+     &Session::Stats::epochs_published, false},
+    {"pages_cow", &WireQueryStats::pages_cow, &Session::Stats::pages_cow,
+     false},
+    {"commit_batches", &WireQueryStats::commit_batches,
+     &Session::Stats::commit_batches, false},
+    {"commit_records", &WireQueryStats::commit_records,
+     &Session::Stats::commit_records, false},
+    {"reader_pin_max_age_us", &WireQueryStats::reader_pin_max_age_us,
+     &Session::Stats::reader_pin_max_age_us, true},
+};
+
+/// The per-query delta between two snapshots of one session (a gauge
+/// reports `after`'s value) — what a server ships in `kRows`. A fresh
+/// per-request session is its own delta from `Session::Stats()`.
+WireQueryStats WireStatsDelta(const Session::Stats& before,
+                              const Session::Stats& after);
+
+/// Folds one query's stats into a running total (sums; a gauge keeps the
+/// max): a router merging shard replies, or a connection's session stats.
+void AccumulateWireStats(const WireQueryStats& query, WireQueryStats* total);
+void AccumulateWireStats(const WireQueryStats& query, Session::Stats* total);
+
 /// A decoded request frame.
 struct Request {
   Op op = Op::kPing;

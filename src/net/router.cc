@@ -16,27 +16,6 @@ std::string EndpointKey(const std::string& host, uint16_t port) {
   return host + ":" + std::to_string(port);
 }
 
-// Sums `sub` into `total`; reader_pin_max_age_us is a gauge, so take the
-// max.
-void AccumulateStats(const WireQueryStats& sub, WireQueryStats* total) {
-  total->pages_read += sub.pages_read;
-  total->nodes_parsed += sub.nodes_parsed;
-  total->node_cache_hits += sub.node_cache_hits;
-  total->prefetch_issued += sub.prefetch_issued;
-  total->prefetch_hits += sub.prefetch_hits;
-  total->prefetch_wasted += sub.prefetch_wasted;
-  total->pool_hits += sub.pool_hits;
-  total->pool_misses += sub.pool_misses;
-  total->evictions += sub.evictions;
-  total->writebacks += sub.writebacks;
-  total->epochs_published += sub.epochs_published;
-  total->pages_cow += sub.pages_cow;
-  total->commit_batches += sub.commit_batches;
-  total->commit_records += sub.commit_records;
-  total->reader_pin_max_age_us =
-      std::max(total->reader_pin_max_age_us, sub.reader_pin_max_age_us);
-}
-
 }  // namespace
 
 Result<std::unique_ptr<Router>> Router::Create(ShardMap map,
@@ -254,7 +233,7 @@ Result<Router::QueryOutcome> Router::Query(const std::string& oql) {
       Client::QueryResult& r = sub.result.value();
       out.count += r.count;
       out.used_index = out.used_index && r.used_index;
-      AccumulateStats(r.stats, &out.stats);
+      AccumulateWireStats(r.stats, &out.stats);
       out.oids.insert(out.oids.end(), r.oids.begin(), r.oids.end());
     }
     std::sort(out.oids.begin(), out.oids.end());

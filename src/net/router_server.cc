@@ -1,47 +1,23 @@
 #include "net/router_server.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace uindex {
 namespace net {
 
-namespace {
-
-// How often the accept loop wakes to check the stopping flag and reap
-// finished connection threads (matches Server).
-constexpr int kAcceptTickMs = 200;
-
-// Folds one routed query's aggregate stats into the connection's
-// synthesized session stats.
-void FoldIntoSession(const Router::QueryOutcome& outcome,
-                     Session::Stats* stats) {
-  stats->rows += outcome.oids.size();
-  stats->pages_read += outcome.stats.pages_read;
-  stats->nodes_parsed += outcome.stats.nodes_parsed;
-  stats->node_cache_hits += outcome.stats.node_cache_hits;
-  stats->prefetch_issued += outcome.stats.prefetch_issued;
-  stats->prefetch_hits += outcome.stats.prefetch_hits;
-  stats->prefetch_wasted += outcome.stats.prefetch_wasted;
-  stats->pool_hits += outcome.stats.pool_hits;
-  stats->pool_misses += outcome.stats.pool_misses;
-  stats->evictions += outcome.stats.evictions;
-  stats->writebacks += outcome.stats.writebacks;
-  stats->epochs_published += outcome.stats.epochs_published;
-  stats->pages_cow += outcome.stats.pages_cow;
-  stats->commit_batches += outcome.stats.commit_batches;
-  stats->commit_records += outcome.stats.commit_records;
-  stats->reader_pin_max_age_us = std::max(
-      stats->reader_pin_max_age_us, outcome.stats.reader_pin_max_age_us);
-}
-
-}  // namespace
-
 RouterServer::RouterServer(Router* router, RouterServerOptions options)
-    : router_(router), options_(std::move(options)) {
-  admission_ = std::make_unique<AdmissionGate>(options_.max_inflight_queries,
-                                               options_.max_queued_queries);
-}
+    : router_(router),
+      options_(std::move(options)),
+      admission_(options_.max_inflight_queries, options_.max_queued_queries),
+      runtime_("router", options_.max_connections, &counters_, &admission_,
+               WireFraming(options_.io_timeout_ms, [this](Conn* conn) {
+                 Session::Stats stats;  // Synthesized, cluster-wide.
+                 ServeWire(&runtime_, conn, options_.idle_timeout_ms, stats,
+                           counters_.protocol_errors,
+                           [&](const Request& request) {
+                             return HandleRequest(conn, &stats, request);
+                           });
+               })) {}
 
 Result<std::unique_ptr<RouterServer>> RouterServer::Start(
     Router* router, RouterServerOptions options) {
@@ -50,162 +26,53 @@ Result<std::unique_ptr<RouterServer>> RouterServer::Start(
   }
   std::unique_ptr<RouterServer> server(
       new RouterServer(router, std::move(options)));
-  UINDEX_RETURN_IF_ERROR(
-      server->listener_.Open(server->options_.host, server->options_.port));
-  server->port_ = server->listener_.port();
-  server->accept_thread_ =
-      std::thread([s = server.get()] { s->AcceptLoop(); });
+  UINDEX_RETURN_IF_ERROR(server->runtime_.Start(server->options_.host,
+                                                server->options_.port));
   return server;
-}
-
-RouterServer::~RouterServer() { Shutdown(); }
-
-void RouterServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = listener_.AcceptOnce(kAcceptTickMs);
-    ReapFinished(/*join_all=*/false);
-    if (fd < 0) continue;
-    if (active_connections() >= options_.max_connections) {
-      Conn reject(fd);
-      reject.set_io_timeout_ms(options_.io_timeout_ms);
-      reject.WriteFrame(Slice(EncodeBusy("too many connections")));
-      continue;
-    }
-    counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-    counters_.active_connections.fetch_add(1, std::memory_order_relaxed);
-    auto state = std::make_unique<ConnState>();
-    state->conn = std::make_unique<Conn>(fd);
-    state->conn->set_io_timeout_ms(options_.io_timeout_ms);
-    ConnState* raw = state.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(std::move(state));
-    }
-    raw->thread = std::thread([this, raw] { ServeConnection(raw); });
-  }
-}
-
-void RouterServer::ServeConnection(ConnState* state) {
-  Conn* conn = state->conn.get();
-  Session::Stats stats;  // Synthesized cluster-wide per-connection stats.
-  std::string payload;
-  for (;;) {
-    Result<ReadOutcome> outcome =
-        conn->ReadFrame(&payload, kMaxRequestFrame, options_.idle_timeout_ms);
-    if (!outcome.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      conn->WriteFrame(Slice(EncodeError(outcome.status())));
-      break;
-    }
-    if (outcome.value() != ReadOutcome::kFrame) break;  // closed or idle
-    Result<Request> request = DecodeRequest(Slice(payload));
-    if (!request.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      conn->WriteFrame(Slice(EncodeError(request.status())));
-      break;
-    }
-    if (!HandleRequest(conn, &stats, request.value())) break;
-  }
-  conn->ShutdownBoth();
-  counters_.active_connections.fetch_sub(1, std::memory_order_relaxed);
-  state->done.store(true, std::memory_order_release);
 }
 
 bool RouterServer::HandleRequest(Conn* conn, Session::Stats* stats,
                                  const Request& request) {
-  switch (request.op) {
-    case Op::kHello: {
-      if (request.version != kProtocolVersion) {
-        conn->WriteFrame(Slice(EncodeError(Status::InvalidArgument(
-            "protocol version mismatch: client " +
-            std::to_string(request.version) + ", server " +
-            std::to_string(kProtocolVersion)))));
-        return false;
-      }
-      return conn->WriteFrame(Slice(EncodeWelcome())).ok();
-    }
-    case Op::kPing:
-      return conn->WriteFrame(Slice(EncodePong())).ok();
-    case Op::kSessionStats:
-      return conn->WriteFrame(Slice(EncodeStats(*stats))).ok();
-    case Op::kGoodbye:
-      return false;
-    case Op::kQuery:
-      break;
-    default:
-      // The router front end does not serve shard-internal ops; a v4 peer
-      // speaking kShardQuery at a router is a topology mistake.
-      conn->WriteFrame(Slice(EncodeError(Status::NotSupported(
-          "router front end serves kQuery only"))));
-      return true;
+  if (request.op != Op::kQuery) {
+    // The router front end does not serve shard-internal ops; a v4 peer
+    // speaking kShardQuery at a router is a topology mistake.
+    conn->WriteFrame(Slice(EncodeError(Status::NotSupported(
+        "router front end serves kQuery only"))));
+    return true;
   }
-
-  // One admission slot per scatter-gather, shared with the HTTP gateway.
-  // The slot is released only AFTER the response write: `Shutdown`'s
-  // WaitDrained therefore guarantees delivery, not just completion.
-  switch (admission_->Admit()) {
-    case AdmissionGate::Outcome::kShuttingDown:
-      conn->WriteFrame(Slice(
-          EncodeError(Status::ResourceExhausted("router shutting down"))));
-      return false;
-    case AdmissionGate::Outcome::kBusy:
-      counters_.busy_rejected.fetch_add(1, std::memory_order_relaxed);
-      conn->WriteFrame(Slice(EncodeBusy(
-          "busy: query shed by admission control; retry later")));
-      return true;
-    case AdmissionGate::Outcome::kAdmitted:
-      break;
+  const Status admitted = runtime_.Admit();
+  if (!admitted.ok()) {
+    return conn->WriteFrame(Slice(EncodeFailure(admitted))).ok();
   }
-
-  Result<Router::QueryOutcome> result = router_->Query(request.oql);
-  std::string response;
-  ++stats->queries;
-  if (result.ok()) {
-    counters_.queries_ok.fetch_add(1, std::memory_order_relaxed);
-    const Router::QueryOutcome& rows = result.value();
-    FoldIntoSession(rows, stats);
-    response = EncodeRows(rows.oids, rows.count, rows.used_index, rows.plan,
-                          rows.stats);
-  } else {
-    counters_.queries_failed.fetch_add(1, std::memory_order_relaxed);
+  Result<Router::QueryOutcome> result = QueryAdmitted(request.oql);
+  if (!result.ok()) {
     ++stats->failed;
-    response = EncodeError(result.status());
+    return conn->WriteFrame(Slice(EncodeError(result.status()))).ok();
   }
-  const bool write_ok = conn->WriteFrame(Slice(response)).ok();
-  admission_->Release();
-  return write_ok;
+  // Fold like a local Session: OK calls, their rows, and their IoStats.
+  const Router::QueryOutcome& rows = result.value();
+  ++stats->queries;
+  stats->rows += rows.oids.size();
+  AccumulateWireStats(rows.stats, stats);
+  return conn
+      ->WriteFrame(Slice(EncodeRows(rows.oids, rows.count, rows.used_index,
+                                    rows.plan, rows.stats)))
+      .ok();
 }
 
-void RouterServer::ReapFinished(bool join_all) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if (join_all || (*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+Result<Router::QueryOutcome> RouterServer::ExecuteExternal(
+    const std::string& oql) {
+  UINDEX_RETURN_IF_ERROR(runtime_.Admit());
+  return QueryAdmitted(oql);
 }
 
-void RouterServer::Shutdown() {
-  std::call_once(shutdown_once_, [this] {
-    // 1. Refuse new work: the accept loop exits, queued admission waiters
-    //    wake and bail with "router shutting down".
-    stopping_.store(true, std::memory_order_release);
-    admission_->BeginShutdown();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    // 2. Drain: every admitted scatter-gather finishes AND its response
-    //    reaches the client socket (Release runs post-write).
-    admission_->WaitDrained();
-    // 3. Tear down: unblock readers parked in ReadFrame, then join.
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (const auto& state : conns_) state->conn->ShutdownBoth();
-    }
-    ReapFinished(/*join_all=*/true);
-    listener_.Close();
-  });
+Result<Router::QueryOutcome> RouterServer::QueryAdmitted(
+    const std::string& oql) {
+  Result<Router::QueryOutcome> result = router_->Query(oql);
+  admission_.Release();
+  (result.ok() ? counters_.queries_ok : counters_.queries_failed)
+      .fetch_add(1, std::memory_order_relaxed);
+  return result;
 }
 
 }  // namespace net

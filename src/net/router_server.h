@@ -3,16 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "db/session.h"
 #include "net/admission.h"
 #include "net/conn.h"
-#include "net/listener.h"
+#include "net/conn_runtime.h"
 #include "net/protocol.h"
 #include "net/router.h"
 
@@ -44,23 +41,23 @@ struct RouterServerOptions {
 ///
 /// Per-connection `Session::Stats` are synthesized from the router's
 /// aggregated per-query stats, so `stats` in the shell shows cluster-wide
-/// page reads. One thread per connection, as in `Server`; concurrency
-/// across connections comes from the router's fan-out pool.
+/// page reads. It runs on the same connection runtime and binary framing
+/// as `Server` (net/conn_runtime.h): one thread per connection, and
+/// concurrency across connections comes from the router's fan-out pool.
 ///
-/// Shutdown mirrors `Server`: new connections and new frames are refused,
+/// Shutdown is the runtime's: new connections and new frames are refused,
 /// but every in-flight scatter-gather completes AND its response reaches
-/// the client socket before `Shutdown` returns (the slot is released only
-/// after the write). The HTTP gateway's router backend shares the same
+/// the client socket before `Shutdown` returns. The HTTP gateway's router
+/// backend executes through `ExecuteExternal`, under the same
 /// `AdmissionGate`, so HTTP and binary clients draw from one budget here
 /// too.
 class RouterServer {
  public:
-  struct Counters {
-    std::atomic<uint64_t> accepted{0};
-    std::atomic<uint64_t> active_connections{0};
+  /// `queries_*` count every admitted scatter-gather, binary or HTTP;
+  /// `busy_rejected` (ConnCounters) counts cap rejects and sheds on both.
+  struct Counters : ConnCounters {
     std::atomic<uint64_t> queries_ok{0};
     std::atomic<uint64_t> queries_failed{0};
-    std::atomic<uint64_t> busy_rejected{0};
     std::atomic<uint64_t> protocol_errors{0};
   };
 
@@ -71,60 +68,51 @@ class RouterServer {
 
   /// Graceful shutdown (idempotent); in-flight queries finish and their
   /// responses are delivered before teardown.
-  void Shutdown();
+  void Shutdown() { runtime_.Shutdown(); }
 
-  ~RouterServer();
+  ~RouterServer() { Shutdown(); }
 
   RouterServer(const RouterServer&) = delete;
   RouterServer& operator=(const RouterServer&) = delete;
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return runtime_.port(); }
   const Counters& counters() const { return counters_; }
   size_t active_connections() const {
     return counters_.active_connections.load(std::memory_order_relaxed);
   }
 
   /// The router process's admission budget (shared with the HTTP gateway).
-  AdmissionGate& admission() { return *admission_; }
-  const AdmissionGate& admission() const { return *admission_; }
+  AdmissionGate& admission() { return admission_; }
+  const AdmissionGate& admission() const { return admission_; }
 
   Router* router() const { return router_; }
 
+  /// Runs one scatter-gather for a non-binary front end (the HTTP
+  /// gateway) under the same admission gate and counters as `kQuery`.
+  /// A `ResourceExhausted` beginning with "busy:" is a shed — retryable.
+  Result<Router::QueryOutcome> ExecuteExternal(const std::string& oql);
+
   /// True once a graceful shutdown has begun (new work is being refused).
-  bool draining() const { return stopping_.load(std::memory_order_acquire); }
+  bool draining() const { return runtime_.draining(); }
 
  private:
-  struct ConnState {
-    std::unique_ptr<Conn> conn;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   RouterServer(Router* router, RouterServerOptions options);
 
-  void AcceptLoop();
-  void ServeConnection(ConnState* state);
+  // Answers kQuery (any other op is a typed NotSupported); false closes.
   bool HandleRequest(Conn* conn, Session::Stats* stats,
                      const Request& request);
-  void ReapFinished(bool join_all);
+  // Runs an admitted scatter-gather, releases its slot, counts it.
+  Result<Router::QueryOutcome> QueryAdmitted(const std::string& oql);
 
   Router* router_;
   RouterServerOptions options_;
 
-  Listener listener_;
-  uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  std::mutex conns_mu_;
-  std::list<std::unique_ptr<ConnState>> conns_;
-
   // One scatter-gather budget for every front end (net/admission.h); the
-  // HTTP gateway borrows it through `admission()`.
-  std::unique_ptr<AdmissionGate> admission_;
+  // HTTP gateway reaches it through `ExecuteExternal`.
+  AdmissionGate admission_;
 
   Counters counters_;
-  std::once_flag shutdown_once_;
+  ConnRuntime runtime_;  // Last: its threads use everything above.
 };
 
 }  // namespace net

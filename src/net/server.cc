@@ -1,161 +1,47 @@
 #include "net/server.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
+#include <algorithm>
 #include <utility>
 
 namespace uindex {
 namespace net {
 
-namespace {
-
-// How often the accept loop wakes to check the stopping flag and reap
-// finished connection threads.
-constexpr int kAcceptTickMs = 200;
-
-// Per-query delta between two session-stat snapshots.
-WireQueryStats StatsDelta(const Session::Stats& before,
-                          const Session::Stats& after) {
-  WireQueryStats d;
-  d.pages_read = after.pages_read - before.pages_read;
-  d.nodes_parsed = after.nodes_parsed - before.nodes_parsed;
-  d.node_cache_hits = after.node_cache_hits - before.node_cache_hits;
-  d.prefetch_issued = after.prefetch_issued - before.prefetch_issued;
-  d.prefetch_hits = after.prefetch_hits - before.prefetch_hits;
-  d.prefetch_wasted = after.prefetch_wasted - before.prefetch_wasted;
-  d.pool_hits = after.pool_hits - before.pool_hits;
-  d.pool_misses = after.pool_misses - before.pool_misses;
-  d.evictions = after.evictions - before.evictions;
-  d.writebacks = after.writebacks - before.writebacks;
-  d.epochs_published = after.epochs_published - before.epochs_published;
-  d.pages_cow = after.pages_cow - before.pages_cow;
-  d.commit_batches = after.commit_batches - before.commit_batches;
-  d.commit_records = after.commit_records - before.commit_records;
-  // Gauge: report the session's current watermark, not a difference.
-  d.reader_pin_max_age_us = after.reader_pin_max_age_us;
-  return d;
-}
-
-}  // namespace
-
 Server::Server(Database* db, ServerOptions options,
                exec::ThreadPool* shared_pool)
-    : db_(db), options_(std::move(options)) {
-  if (shared_pool != nullptr) {
-    pool_ = shared_pool;
-  } else {
-    owned_pool_ = std::make_unique<exec::ThreadPool>(
-        options_.worker_threads == 0 ? 1 : options_.worker_threads);
-    pool_ = owned_pool_.get();
-  }
-  if (options_.max_inflight_queries == 0) {
-    options_.max_inflight_queries = pool_->size();
-  }
-  admission_ = std::make_unique<AdmissionGate>(options_.max_inflight_queries,
-                                               options_.max_queued_queries);
-}
+    : db_(db),
+      options_(std::move(options)),
+      owned_pool_(shared_pool != nullptr
+                      ? nullptr
+                      : std::make_unique<exec::ThreadPool>(
+                            std::max<size_t>(1, options_.worker_threads))),
+      pool_(shared_pool != nullptr ? shared_pool : owned_pool_.get()),
+      admission_(options_.max_inflight_queries != 0
+                     ? options_.max_inflight_queries
+                     : pool_->size(),
+                 options_.max_queued_queries),
+      runtime_("server", options_.max_connections, &counters_, &admission_,
+               WireFraming(options_.io_timeout_ms, [this](Conn* conn) {
+                 Session session(db_);
+                 ServeWire(&runtime_, conn, options_.idle_timeout_ms,
+                           session.stats(), counters_.protocol_errors,
+                           [&](const Request& request) {
+                             return HandleRequest(conn, &session, request);
+                           });
+               })) {}
 
 Result<std::unique_ptr<Server>> Server::Start(Database* db,
                                               ServerOptions options,
                                               exec::ThreadPool* shared_pool) {
   std::unique_ptr<Server> server(
       new Server(db, std::move(options), shared_pool));
-  UINDEX_RETURN_IF_ERROR(
-      server->listener_.Open(server->options_.host, server->options_.port));
-  server->port_ = server->listener_.port();
-  server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
+  UINDEX_RETURN_IF_ERROR(server->runtime_.Start(server->options_.host,
+                                                server->options_.port));
   return server;
-}
-
-Server::~Server() { Shutdown(); }
-
-void Server::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = listener_.AcceptOnce(kAcceptTickMs);
-    ReapFinished(/*join_all=*/false);
-    if (fd < 0) continue;
-    if (active_connections() >= options_.max_connections) {
-      // Over the connection cap: typed rejection, then close.
-      Conn reject(fd);
-      reject.set_io_timeout_ms(options_.io_timeout_ms);
-      reject.WriteFrame(Slice(EncodeBusy("too many connections")));
-      counters_.busy_rejected.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-    counters_.active_connections.fetch_add(1, std::memory_order_relaxed);
-    auto state = std::make_unique<ConnState>();
-    state->conn = std::make_unique<Conn>(fd);
-    state->conn->set_io_timeout_ms(options_.io_timeout_ms);
-    ConnState* raw = state.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(std::move(state));
-    }
-    raw->thread = std::thread([this, raw] { ServeConnection(raw); });
-  }
-}
-
-void Server::ServeConnection(ConnState* state) {
-  Conn* conn = state->conn.get();
-  Session session(db_);
-  std::string payload;
-  for (;;) {
-    Result<ReadOutcome> outcome =
-        conn->ReadFrame(&payload, kMaxRequestFrame, options_.idle_timeout_ms);
-    if (!outcome.ok()) {
-      // Torn frame, CRC mismatch, oversize, or mid-frame stall: poison this
-      // connection only — best-effort error, then close.
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      conn->WriteFrame(Slice(EncodeError(outcome.status())));
-      break;
-    }
-    if (outcome.value() != ReadOutcome::kFrame) break;  // closed or idle
-    if (stopping_.load(std::memory_order_acquire)) {
-      conn->WriteFrame(Slice(
-          EncodeError(Status::ResourceExhausted("server shutting down"))));
-      break;
-    }
-    Result<Request> request = DecodeRequest(Slice(payload));
-    if (!request.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      conn->WriteFrame(Slice(EncodeError(request.status())));
-      break;
-    }
-    if (!HandleRequest(conn, &session, request.value())) break;
-  }
-  conn->ShutdownBoth();
-  counters_.active_connections.fetch_sub(1, std::memory_order_relaxed);
-  state->done.store(true, std::memory_order_release);
 }
 
 bool Server::HandleRequest(Conn* conn, Session* session,
                            const Request& request) {
   switch (request.op) {
-    case Op::kHello: {
-      if (request.version != kProtocolVersion) {
-        conn->WriteFrame(Slice(EncodeError(Status::InvalidArgument(
-            "protocol version mismatch: client " +
-            std::to_string(request.version) + ", server " +
-            std::to_string(kProtocolVersion)))));
-        return false;
-      }
-      return conn->WriteFrame(Slice(EncodeWelcome())).ok();
-    }
-    case Op::kPing:
-      return conn->WriteFrame(Slice(EncodePong())).ok();
-    case Op::kSessionStats:
-      return conn->WriteFrame(Slice(EncodeStats(session->stats()))).ok();
-    case Op::kGoodbye:
-      return false;
     case Op::kInstallShard:
       return HandleInstallShard(conn, request);
     case Op::kGetShard:
@@ -188,32 +74,10 @@ bool Server::HandleRequest(Conn* conn, Session* session,
       return false;
   }
 
-  switch (admission_->Admit()) {
-    case AdmissionGate::Outcome::kShuttingDown:
-      conn->WriteFrame(Slice(
-          EncodeError(Status::ResourceExhausted("server shutting down"))));
-      return false;
-    case AdmissionGate::Outcome::kBusy:
-      counters_.busy_rejected.fetch_add(1, std::memory_order_relaxed);
-      return conn
-          ->WriteFrame(Slice(EncodeBusy(
-              "query shed by admission control; retry later")))
-          .ok();
-    case AdmissionGate::Outcome::kAdmitted:
-      break;
-  }
-
-  // Execute on the shared pool; this thread blocks on the handle. The
-  // session is handed to exactly one worker at a time, so its serial
-  // contract holds. Admission is released only after the response hits the
-  // socket — that is what lets Shutdown's drain guarantee delivery.
+  // The session is handed to exactly one worker at a time, so its serial
+  // contract holds.
   const Session::Stats before = session->stats();
-  exec::Future<Result<Database::OqlResult>> future =
-      pool_->Submit([session, oql = request.oql] {
-        return session->ExecuteOql(oql);
-      });
-  Result<Database::OqlResult> result = future.Take();
-
+  Result<Database::OqlResult> result = ExecuteExternal(session, request.oql);
   std::string response;
   if (result.ok() && request.op == Op::kShardQuery) {
     // Version fence, second half: if an install committed while the
@@ -231,63 +95,32 @@ bool Server::HandleRequest(Conn* conn, Session* session,
   if (!response.empty()) {
     // Fell through the fence above; drop the result.
   } else if (result.ok()) {
-    counters_.queries_ok.fetch_add(1, std::memory_order_relaxed);
     const Database::OqlResult& rows = result.value();
     response = EncodeRows(rows.oids, rows.count, rows.used_index, rows.plan,
-                          StatsDelta(before, session->stats()));
+                          WireStatsDelta(before, session->stats()));
   } else {
-    counters_.queries_failed.fetch_add(1, std::memory_order_relaxed);
-    response = EncodeError(result.status());
+    response = EncodeFailure(result.status());
   }
-  const Status write = conn->WriteFrame(Slice(response));
-  admission_->Release();
-  return write.ok();
+  return conn->WriteFrame(Slice(response)).ok();
+}
+
+template <typename Fn>
+auto Server::RunAdmitted(const Fn& fn) -> decltype(fn()) {
+  UINDEX_RETURN_IF_ERROR(runtime_.Admit());
+  auto result = pool_->Submit(fn).Take();
+  admission_.Release();
+  (result.ok() ? counters_.queries_ok : counters_.queries_failed)
+      .fetch_add(1, std::memory_order_relaxed);
+  return result;
 }
 
 Result<Database::OqlResult> Server::ExecuteExternal(Session* session,
                                                     const std::string& oql) {
-  switch (admission_->Admit()) {
-    case AdmissionGate::Outcome::kShuttingDown:
-      return Status::ResourceExhausted("server shutting down");
-    case AdmissionGate::Outcome::kBusy:
-      counters_.busy_rejected.fetch_add(1, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          "busy: query shed by admission control; retry later");
-    case AdmissionGate::Outcome::kAdmitted:
-      break;
-  }
-  exec::Future<Result<Database::OqlResult>> future =
-      pool_->Submit([session, &oql] { return session->ExecuteOql(oql); });
-  Result<Database::OqlResult> result = future.Take();
-  if (result.ok()) {
-    counters_.queries_ok.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.queries_failed.fetch_add(1, std::memory_order_relaxed);
-  }
-  admission_->Release();
-  return result;
+  return RunAdmitted([session, &oql] { return session->ExecuteOql(oql); });
 }
 
 Status Server::ExecuteExternalDml(const std::function<Status()>& dml) {
-  switch (admission_->Admit()) {
-    case AdmissionGate::Outcome::kShuttingDown:
-      return Status::ResourceExhausted("server shutting down");
-    case AdmissionGate::Outcome::kBusy:
-      counters_.busy_rejected.fetch_add(1, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          "busy: mutation shed by admission control; retry later");
-    case AdmissionGate::Outcome::kAdmitted:
-      break;
-  }
-  exec::Future<Status> future = pool_->Submit([&dml] { return dml(); });
-  const Status result = future.Take();
-  if (result.ok()) {
-    counters_.queries_ok.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.queries_failed.fetch_add(1, std::memory_order_relaxed);
-  }
-  admission_->Release();
-  return result;
+  return RunAdmitted(dml);
 }
 
 Server::ShardInfo Server::shard_info() const {
@@ -344,39 +177,6 @@ bool Server::HandleGetShard(Conn* conn) {
   return conn
       ->WriteFrame(Slice(EncodeShardState(shard_active_, shard_self_, blob)))
       .ok();
-}
-
-void Server::ReapFinished(bool join_all) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if (join_all || (*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void Server::Shutdown() {
-  std::call_once(shutdown_once_, [this] {
-    // 1. Refuse new work: connections see `stopping_` on their next frame,
-    //    admission waiters wake and bail, the accept loop exits.
-    stopping_.store(true, std::memory_order_release);
-    admission_->BeginShutdown();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    // 2. Drain: every admitted query finishes AND its response reaches the
-    //    socket before this returns (Release runs post-write).
-    admission_->WaitDrained();
-    // 3. Tear down: unblock readers parked in ReadFrame, then join.
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (const auto& state : conns_) state->conn->ShutdownBoth();
-    }
-    ReapFinished(/*join_all=*/true);
-    listener_.Close();
-    // The owned pool (if any) dies with the server, after all users.
-  });
 }
 
 }  // namespace net

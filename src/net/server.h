@@ -4,18 +4,16 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "db/database.h"
 #include "db/session.h"
 #include "exec/thread_pool.h"
 #include "net/admission.h"
 #include "net/conn.h"
-#include "net/listener.h"
+#include "net/conn_runtime.h"
 #include "net/protocol.h"
 #include "net/shard_map.h"
 
@@ -52,34 +50,36 @@ struct ServerOptions {
 /// A multi-threaded TCP server putting one `Database` behind the wire
 /// protocol (net/protocol.h).
 ///
-/// Threading model: one listener thread accepts; every connection gets its
-/// own thread and its own `db::Session` (sessions are cheap and not
-/// thread-safe — one per client is the intended shape). Query execution is
-/// submitted to the shared `exec::ThreadPool`, bounded by admission
-/// control; the connection thread blocks on the result future and streams
-/// the response. Sessions are deliberately serial (no ExecutionContext):
-/// parallelism comes from many queries in flight across pool workers, and
-/// a query that itself sharded onto the same pool could deadlock a
-/// saturated pool.
+/// Threading model: the shared connection runtime (net/conn_runtime.h) —
+/// one accept thread, and every connection gets its own thread and its own
+/// `db::Session` (sessions are cheap and not thread-safe — one per client
+/// is the intended shape). Query execution is submitted to the shared
+/// `exec::ThreadPool`, bounded by admission control; the connection thread
+/// blocks on the result future and streams the response. Sessions are
+/// deliberately serial (no ExecutionContext): parallelism comes from many
+/// queries in flight across pool workers, and a query that itself sharded
+/// onto the same pool could deadlock a saturated pool.
 ///
 /// Robustness: malformed frames, CRC mismatches, oversized requests, and
 /// mid-frame stalls poison only the offending connection (best-effort
 /// `kError`, then close); admission overflow is shed with `kBusy`;
 /// `Shutdown` refuses new frames, drains in-flight queries (their
-/// responses are delivered), tears down connections, and only then
-/// returns — so the caller can safely destroy the database afterwards.
+/// responses are delivered — HTTP ones included, through the shared
+/// gate), tears down connections, and only then returns — so the caller
+/// can safely destroy the database afterwards.
 class Server {
  public:
   /// Observability counters (tests and the server binary read these).
-  struct Counters {
-    std::atomic<uint64_t> accepted{0};
-    std::atomic<uint64_t> active_connections{0};
+  /// `queries_ok`/`queries_failed` count every admitted statement, binary
+  /// or external; `busy_rejected` (ConnCounters) counts cap rejects and
+  /// sheds on either protocol.
+  struct Counters : ConnCounters {
     std::atomic<uint64_t> queries_ok{0};
     std::atomic<uint64_t> queries_failed{0};
-    std::atomic<uint64_t> busy_rejected{0};
     std::atomic<uint64_t> protocol_errors{0};
     /// Sub-queries rejected for carrying a ShardMap version other than the
-    /// installed one (the split/rebalance fence).
+    /// installed one (the split/rebalance fence). One that ran and was
+    /// discarded by the post-execution check also counts in `queries_ok`.
     std::atomic<uint64_t> stale_rejected{0};
   };
 
@@ -94,15 +94,15 @@ class Server {
 
   /// Graceful shutdown (idempotent): stop accepting, refuse new frames,
   /// drain in-flight queries, tear down connections, join every thread.
-  void Shutdown();
+  void Shutdown() { runtime_.Shutdown(); }
 
-  ~Server();
+  ~Server() { Shutdown(); }
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   /// The bound TCP port (useful with `options.port == 0`).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return runtime_.port(); }
 
   /// Installs `map` with this server as entry `self_index` — the local
   /// equivalent of a `kInstallShard` frame (the server binary uses it to
@@ -129,8 +129,8 @@ class Server {
   const Counters& counters() const { return counters_; }
 
   /// The process-wide admission budget (shared with the HTTP gateway).
-  AdmissionGate& admission() { return *admission_; }
-  const AdmissionGate& admission() const { return *admission_; }
+  AdmissionGate& admission() { return admission_; }
+  const AdmissionGate& admission() const { return admission_; }
 
   Database* db() const { return db_; }
 
@@ -143,7 +143,7 @@ class Server {
   ShardInfo shard_info() const;
 
   /// True once a graceful shutdown has begun (new work is being refused).
-  bool draining() const { return stopping_.load(std::memory_order_acquire); }
+  bool draining() const { return runtime_.draining(); }
 
   /// Live connection count right now (drops to 0 after Shutdown).
   size_t active_connections() const {
@@ -151,24 +151,20 @@ class Server {
   }
 
  private:
-  struct ConnState {
-    std::unique_ptr<Conn> conn;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   Server(Database* db, ServerOptions options,
          exec::ThreadPool* shared_pool);
 
-  void AcceptLoop();
-  void ServeConnection(ConnState* state);
-  // One decoded request --> one response written (or connection poisoned).
+  // The binary ops beyond the shared ones (ServeWire): queries, shard
+  // sub-queries behind the version fence, and the sharding metadata ops.
   // Returns false when the connection should close.
   bool HandleRequest(Conn* conn, Session* session, const Request& request);
-  // The v4 sharding ops (metadata; not admission-controlled).
   bool HandleInstallShard(Conn* conn, const Request& request);
   bool HandleGetShard(Conn* conn);
-  void ReapFinished(bool join_all);
+
+  // Runs `fn` on the worker pool under one admission slot and counts its
+  // outcome — every statement, binary or external, goes through here.
+  template <typename Fn>
+  auto RunAdmitted(const Fn& fn) -> decltype(fn());
 
   Database* db_;
   ServerOptions options_;
@@ -182,23 +178,16 @@ class Server {
   ShardMap shard_map_;
   uint32_t shard_self_ = 0;
   bool shard_active_ = false;
+
+  std::unique_ptr<exec::ThreadPool> owned_pool_;  // Null when borrowed.
   exec::ThreadPool* pool_;  // owned_pool_.get() or the borrowed pool.
-  std::unique_ptr<exec::ThreadPool> owned_pool_;
-
-  Listener listener_;
-  uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  std::mutex conns_mu_;
-  std::list<std::unique_ptr<ConnState>> conns_;
 
   // One execution budget for every protocol front end (net/admission.h);
   // the HTTP gateway borrows it through `admission()`.
-  std::unique_ptr<AdmissionGate> admission_;
+  AdmissionGate admission_;
 
   Counters counters_;
-  std::once_flag shutdown_once_;
+  ConnRuntime runtime_;  // Last: its threads use everything above.
 };
 
 }  // namespace net

@@ -65,6 +65,40 @@ class HttpGatewayTest : public ::testing::Test {
     gateway_ = std::move(gateway).value();
   }
 
+  // A one-shard cluster over db_ — a shard net::Server (on `shard_pool`
+  // when given), a Router planning on db_, a RouterServer — with the
+  // gateway mounted on the router front end.
+  void StartRouterStack(net::RouterServerOptions front_options,
+                        exec::ThreadPool* shard_pool = nullptr) {
+    net::ServerOptions shard_options;
+    shard_options.worker_threads = 2;
+    Result<std::unique_ptr<net::Server>> shard =
+        net::Server::Start(db_.get(), shard_options, shard_pool);
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    server_ = std::move(shard).value();
+    net::ShardMap map;
+    map.version = 1;
+    net::ShardMap::Entry entry;
+    entry.lo = "";
+    entry.host = "127.0.0.1";
+    entry.port = server_->port();
+    map.entries.push_back(entry);
+    ASSERT_TRUE(server_->InstallShard(map, 0).ok());
+    Result<std::unique_ptr<net::Router>> router =
+        net::Router::Create(map, db_.get(), net::RouterOptions());
+    ASSERT_TRUE(router.ok()) << router.status().ToString();
+    router_ = std::move(router).value();
+    Result<std::unique_ptr<net::RouterServer>> front =
+        net::RouterServer::Start(router_.get(), front_options);
+    ASSERT_TRUE(front.ok()) << front.status().ToString();
+    front_ = std::move(front).value();
+    router_backend_ = std::make_unique<RouterBackend>(front_.get());
+    Result<std::unique_ptr<HttpGateway>> gateway =
+        HttpGateway::Start(router_backend_.get(), GatewayOptions());
+    ASSERT_TRUE(gateway.ok()) << gateway.status().ToString();
+    gateway_ = std::move(gateway).value();
+  }
+
   std::unique_ptr<HttpClient> MustConnect() {
     Result<std::unique_ptr<HttpClient>> client =
         HttpClient::Connect("127.0.0.1", gateway_->port());
@@ -84,8 +118,11 @@ class HttpGatewayTest : public ::testing::Test {
   std::unique_ptr<Database> db_;
   ClassId root_ = kInvalidClassId;
   std::vector<ClassId> subs_;
-  std::unique_ptr<net::Server> server_;
+  std::unique_ptr<net::Server> server_;  // The router stack's shard.
   std::unique_ptr<ServerBackend> backend_;
+  std::unique_ptr<net::Router> router_;
+  std::unique_ptr<net::RouterServer> front_;
+  std::unique_ptr<RouterBackend> router_backend_;
   std::unique_ptr<HttpGateway> gateway_;  // Torn down first (decl order).
 };
 
@@ -284,6 +321,60 @@ TEST_F(HttpGatewayTest, ShedOnOneProtocolIsObservableOnTheOther) {
   EXPECT_EQ(retry.value().status, 200);
 }
 
+// A gateway drain delivers: a query already read when Shutdown begins
+// still gets its 200, with the rows in-process execution returns.
+TEST_F(HttpGatewayTest, GracefulShutdownDrainsInFlightQueries) {
+  exec::ThreadPool pool(1);
+  net::ServerOptions options;
+  options.max_inflight_queries = 1;
+  StartStack(options, &pool);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  pool.Schedule([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  });
+
+  std::unique_ptr<HttpClient> client = MustConnect();
+  ASSERT_NE(client, nullptr);
+  Result<HttpClient::Response> in_flight = Status::NotFound("unset");
+  std::thread query(
+      [&] { in_flight = client->Post("/v1/query", QueryBody(7)); });
+  while (server_->admission().inflight() == 0) std::this_thread::yield();
+
+  std::atomic<bool> shutdown_done{false};
+  std::thread shutdown([&] {
+    gateway_->Shutdown();
+    shutdown_done.store(true);
+  });
+  // Shutdown must wait for the request it already read. The pause outlasts
+  // the accept loop's 200 ms tick, so a teardown that did not wait for
+  // delivery would have cut the connection by now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_FALSE(shutdown_done.load());
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  query.join();
+  shutdown.join();
+
+  // The in-flight query's response was delivered, not dropped.
+  ASSERT_TRUE(in_flight.ok()) << in_flight.status().ToString();
+  ASSERT_EQ(in_flight.value().status, 200) << in_flight.value().body;
+  Result<Database::OqlResult> local = db_->ExecuteOql(PriceQuery(7));
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(OidsOf(MustParse(in_flight.value().body)), local.value().oids);
+  EXPECT_EQ(gateway_->active_connections(), 0u);
+
+  // New connections are refused after shutdown.
+  EXPECT_FALSE(HttpClient::Connect("127.0.0.1", gateway_->port(), 500).ok());
+}
+
 // -------------------------------------------------------------- hostility
 
 TEST_F(HttpGatewayTest, OversizedHeadersAreRejectedWith431) {
@@ -446,34 +537,10 @@ TEST_F(HttpGatewayTest, UnknownPathsAndMethodsAreTyped) {
 // rows match the planning replica, DML is a typed 501, and the router's
 // scatter counters surface in /metrics.
 TEST_F(HttpGatewayTest, GatewayMountsOnTheRouterFrontEnd) {
-  net::ServerOptions shard_options;
-  shard_options.worker_threads = 2;
-  Result<std::unique_ptr<net::Server>> shard =
-      net::Server::Start(db_.get(), shard_options);
-  ASSERT_TRUE(shard.ok());
-  net::ShardMap map;
-  map.version = 1;
-  net::ShardMap::Entry entry;
-  entry.lo = "";
-  entry.host = "127.0.0.1";
-  entry.port = shard.value()->port();
-  map.entries.push_back(entry);
-  ASSERT_TRUE(shard.value()->InstallShard(map, 0).ok());
-  Result<std::unique_ptr<net::Router>> router =
-      net::Router::Create(map, db_.get(), net::RouterOptions());
-  ASSERT_TRUE(router.ok()) << router.status().ToString();
-  Result<std::unique_ptr<net::RouterServer>> front =
-      net::RouterServer::Start(router.value().get(),
-                               net::RouterServerOptions());
-  ASSERT_TRUE(front.ok()) << front.status().ToString();
-
-  RouterBackend backend(front.value().get());
-  Result<std::unique_ptr<HttpGateway>> gateway =
-      HttpGateway::Start(&backend, GatewayOptions());
-  ASSERT_TRUE(gateway.ok()) << gateway.status().ToString();
+  StartRouterStack(net::RouterServerOptions());
 
   Result<std::unique_ptr<HttpClient>> client =
-      HttpClient::Connect("127.0.0.1", gateway.value()->port());
+      HttpClient::Connect("127.0.0.1", gateway_->port());
   ASSERT_TRUE(client.ok());
   Result<Database::OqlResult> local = db_->ExecuteOql(PriceQuery(5));
   ASSERT_TRUE(local.ok());
@@ -498,9 +565,63 @@ TEST_F(HttpGatewayTest, GatewayMountsOnTheRouterFrontEnd) {
   EXPECT_NE(metrics.value().body.find("uindex_admission_admitted_total"),
             std::string::npos);
 
-  gateway.value()->Shutdown();
-  front.value()->Shutdown();
-  shard.value()->Shutdown();
+  gateway_->Shutdown();
+  front_->Shutdown();
+  server_->Shutdown();
+}
+
+// Every front end counts a shed where its binary sheds land: an HTTP shed
+// on the router mount raises the router's busy counter together with the
+// shared gate's shed total.
+TEST_F(HttpGatewayTest, RouterMountShedsCountInTheRouterFrontEnd) {
+  exec::ThreadPool shard_pool(1);
+  net::RouterServerOptions front_options;
+  front_options.max_inflight_queries = 1;
+  front_options.max_queued_queries = 0;
+  StartRouterStack(front_options, &shard_pool);
+
+  // Park the shard's only worker, so a scatter-gather holds the router's
+  // single admission slot.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  shard_pool.Schedule([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  });
+  Result<std::unique_ptr<net::Client>> binary =
+      net::Client::Connect("127.0.0.1", front_->port());
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  Result<net::Client::QueryResult> parked = Status::NotFound("unset");
+  std::thread blocked(
+      [&] { parked = binary.value()->Query(PriceQuery(3)); });
+  while (front_->admission().inflight() == 0) std::this_thread::yield();
+
+  std::unique_ptr<HttpClient> client = MustConnect();
+  ASSERT_NE(client, nullptr);
+  Result<HttpClient::Response> shed =
+      client->Post("/v1/query", QueryBody(4));
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_EQ(shed.value().status, 429) << shed.value().body;
+
+  Result<HttpClient::Response> metrics = client->Get("/metrics");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics.value().body.find("uindex_router_busy_rejected_total 1\n"),
+            std::string::npos)
+      << metrics.value().body;
+  EXPECT_NE(metrics.value().body.find("uindex_admission_shed_total 1\n"),
+            std::string::npos)
+      << metrics.value().body;
+  EXPECT_EQ(front_->admission().shed_total(), 1u);
+  EXPECT_EQ(front_->counters().busy_rejected.load(), 1u);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  blocked.join();
+  ASSERT_TRUE(parked.ok()) << parked.status().ToString();
 }
 
 // ---------------------------------------------------- json parser (unit)

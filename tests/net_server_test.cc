@@ -314,26 +314,6 @@ TEST_F(NetServerTest, GracefulShutdownDrainsInFlightQueries) {
   EXPECT_FALSE(late.ok());
 }
 
-TEST_F(NetServerTest, ConnectionCapRejectsWithBusy) {
-  ServerOptions options;
-  options.max_connections = 1;
-  StartServer(options);
-  std::unique_ptr<Client> first = MustConnect();
-  ASSERT_NE(first, nullptr);
-  Result<std::unique_ptr<Client>> second =
-      Client::Connect("127.0.0.1", server_->port());
-  ASSERT_FALSE(second.ok());
-  EXPECT_TRUE(second.status().IsResourceExhausted())
-      << second.status().ToString();
-  // Closing the first frees the slot (poll until the server reaps it).
-  first.reset();
-  for (int i = 0; i < 100; ++i) {
-    if (server_->active_connections() == 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(MustConnect() != nullptr);
-}
-
 TEST_F(NetServerTest, ConcurrentClientsGetConsistentAnswers) {
   StartServer();
   constexpr int kClients = 8;
