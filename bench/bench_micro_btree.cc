@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrate operations: B-tree
-// insert/point-get/scan, key encode/decode, and Parscan vs forward scan on
-// a fixed workload. CPU-time oriented, complementing the page-read benches.
+// insert/put/delete/point-get/scan, key encode/decode, and Parscan vs
+// forward scan on a fixed workload. CPU-time oriented, complementing the
+// page-read benches.
 //
 // Before the registered benchmarks run, a custom main() executes the
 // decoded-node cache A/B proof: a Table-1-style query mix (value ranges
@@ -11,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -46,7 +48,35 @@ void BM_BTreeInsertSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeInsertSequential)->Arg(10000);
 
+// Distinct keys spread over a 100x wider id space, in random order.
+std::vector<std::string> ShuffledKeys(int64_t n, uint64_t seed) {
+  std::vector<std::string> keys;
+  for (int64_t i = 0; i < n; ++i) {
+    keys.push_back(MakeKey(static_cast<uint64_t>(i) * 100));
+  }
+  Random rng(seed);
+  rng.Shuffle(keys);
+  return keys;
+}
+
 void BM_BTreeInsertRandom(benchmark::State& state) {
+  const std::vector<std::string> keys = ShuffledKeys(state.range(0), 1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    Pager pager(1024);
+    BufferManager buffers(&pager);
+    BTree tree(&buffers);
+    state.ResumeTiming();
+    for (const std::string& key : keys) {
+      benchmark::DoNotOptimize(tree.Insert(Slice(key), Slice("value")));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BTreeInsertRandom)->Arg(10000);
+
+// Upserts random keys (some repeat, overwriting their payload).
+void BM_BTreePutRandom(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     Pager pager(1024);
@@ -61,7 +91,31 @@ void BM_BTreeInsertRandom(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_BTreeInsertRandom)->Arg(10000);
+BENCHMARK(BM_BTreePutRandom)->Arg(10000);
+
+// Deletes every key of a tree in random order, down to an empty root.
+void BM_BTreeDeleteRandom(benchmark::State& state) {
+  const std::vector<std::string> keys = ShuffledKeys(state.range(0), 2);
+  std::vector<std::pair<std::string, std::string>> sorted;
+  for (const std::string& key : keys) sorted.emplace_back(key, "value");
+  std::sort(sorted.begin(), sorted.end());
+  for (auto _ : state) {
+    state.PauseTiming();
+    Pager pager(1024);
+    BufferManager buffers(&pager);
+    BTree tree(&buffers);
+    if (!tree.InsertBatch(sorted).ok()) {
+      state.SkipWithError("load failed");
+      break;
+    }
+    state.ResumeTiming();
+    for (const std::string& key : keys) {
+      benchmark::DoNotOptimize(tree.Delete(Slice(key)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BTreeDeleteRandom)->Arg(10000);
 
 void BM_BTreeInsertBatchSorted(benchmark::State& state) {
   std::vector<std::pair<std::string, std::string>> entries;

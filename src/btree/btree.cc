@@ -1,6 +1,7 @@
 #include "btree/btree.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "storage/prefetch.h"
 #include "util/hex.h"
@@ -156,7 +157,7 @@ Status BTree::WriteNode(PageId id, const Node& node) {
 Status BTree::DescendToLeaf(const Slice& key, std::vector<PathStep>* path,
                             PageId* leaf_id, Node* leaf,
                             std::string* upper_bound) const {
-  if (upper_bound != nullptr) upper_bound->clear();
+  upper_bound->clear();
   PageId id = root_;
   for (;;) {
     Result<Node> r = LoadNode(id);
@@ -172,12 +173,10 @@ Status BTree::DescendToLeaf(const Slice& key, std::vector<PathStep>* path,
                              ? node.leftmost_child()
                              : node.entries()[child_index - 1].child;
     // Deeper right-hand separators are always tighter than shallower ones.
-    if (upper_bound != nullptr && child_index < node.entry_count()) {
+    if (child_index < node.entry_count()) {
       *upper_bound = node.entries()[child_index].key;
     }
-    if (path != nullptr) {
-      path->push_back(PathStep{id, std::move(node), child_index});
-    }
+    path->push_back(PathStep{id, std::move(node), child_index});
     id = child;
   }
 }
@@ -226,21 +225,101 @@ Result<std::string> BTree::Get(const Slice& key) const {
 bool BTree::Contains(const Slice& key) const { return Get(key).ok(); }
 
 Status BTree::Insert(const Slice& key, const Slice& value) {
-  std::vector<PathStep> path;
-  PageId leaf_id = kInvalidPageId;
-  Node leaf;
-  UINDEX_RETURN_IF_ERROR(DescendToLeaf(key, &path, &leaf_id, &leaf));
-  const size_t pos = leaf.LowerBound(key);
-  if (pos < leaf.entry_count() && Slice(leaf.entries()[pos].key) == key) {
+  return WriteKey(key, &value, /*overwrite=*/false);
+}
+
+Status BTree::Put(const Slice& key, const Slice& value) {
+  return WriteKey(key, &value, /*overwrite=*/true);
+}
+
+Status BTree::Delete(const Slice& key) {
+  return WriteKey(key, nullptr, /*overwrite=*/false);
+}
+
+Status BTree::WriteKey(const Slice& key, const Slice* value, bool overwrite) {
+  std::vector<RouteStep> route;
+  PageId id = root_;
+  PageRef leaf;
+  for (;;) {
+    leaf = buffers_->Fetch(id);
+    if (leaf == nullptr) {
+      return Status::Corruption("missing page " + std::to_string(id));
+    }
+    if (Node::IsLeafImage(*leaf)) break;
+    Result<Node::CompressedSearch> r = Node::SearchCompressed(*leaf, key);
+    if (!r.ok()) return r.status();
+    // UpperBound(key): an equal separator routes right.
+    route.push_back(
+        RouteStep{id, r.value().lower_bound + (r.value().found ? 1 : 0)});
+    id = r.value().child;
+  }
+
+  Result<Node::LeafEdit> planned =
+      Node::PlanLeafEdit(*leaf, key, value, options_);
+  if (!planned.ok()) return planned.status();
+  const Node::LeafEdit& edit = planned.value();
+  if (value == nullptr && !edit.found) {
+    return Status::NotFound("key " + EscapeBytes(key));
+  }
+  if (value != nullptr && edit.found && !overwrite) {
     return Status::AlreadyExists("key " + EscapeBytes(key));
   }
-  NodeEntry entry;
-  entry.key = key.ToString();
-  entry.value = value.ToString();
-  leaf.entries().insert(leaf.entries().begin() + static_cast<ptrdiff_t>(pos),
-                        std::move(entry));
-  ++size_;
-  return StoreWithSplits(std::move(path), leaf_id, std::move(leaf));
+  if (edit.kind == Node::LeafEdit::Kind::kInsert) ++size_;
+  if (edit.kind == Node::LeafEdit::Kind::kErase) --size_;
+
+  bool in_place = edit.new_size <= buffers_->page_size() &&
+                  (options_.max_entries_per_node == 0 ||
+                   edit.new_count <= options_.max_entries_per_node);
+  if (edit.kind == Node::LeafEdit::Kind::kErase && !route.empty()) {
+    in_place = in_place && !IsUnderfull(edit.new_count, edit.new_size);
+  }
+  if (in_place) {
+    PageRef page = buffers_->FetchForWrite(id);
+    if (page == nullptr) {
+      return Status::Corruption("missing page " + std::to_string(id));
+    }
+    // Legacy writes hit the very bytes planned on; an MVCC CoW copies the
+    // newest revision, which is what the writer's own Fetch resolved.
+    assert(std::memcmp(page->data(), leaf->data(), page->size()) == 0);
+    Node::ApplyLeafEdit(edit, key, value != nullptr ? *value : Slice(),
+                        page.get());
+    return Status::OK();
+  }
+
+  // Structural change: parse the pages already fetched, without charging
+  // them again, and run the node-level split / rebalance.
+  Result<Node> parsed = Node::Parse(*leaf);
+  leaf = PageRef();
+  if (!parsed.ok()) return parsed.status();
+  Node node = std::move(parsed).value();
+  buffers_->RecordNodeParse(node.DecodedBytes());
+  std::vector<PathStep> path;
+  path.reserve(route.size());
+  for (const RouteStep& step : route) {
+    Result<Node> r = LoadNodeUncounted(step.page_id);
+    if (!r.ok()) return r.status();
+    buffers_->RecordNodeParse(r.value().DecodedBytes());
+    path.push_back(
+        PathStep{step.page_id, std::move(r).value(), step.child_index});
+  }
+  auto& entries = node.entries();
+  const auto at = entries.begin() + static_cast<ptrdiff_t>(edit.pos);
+  switch (edit.kind) {
+    case Node::LeafEdit::Kind::kInsert: {
+      NodeEntry entry;
+      entry.key = key.ToString();
+      entry.value = value->ToString();
+      entries.insert(at, std::move(entry));
+      break;
+    }
+    case Node::LeafEdit::Kind::kOverwrite:
+      at->value = value->ToString();
+      break;
+    case Node::LeafEdit::Kind::kErase:
+      entries.erase(at);
+      return RebalanceAfterDelete(std::move(path), id, std::move(node));
+  }
+  return StoreWithSplits(std::move(path), id, std::move(node));
 }
 
 Status BTree::InsertBatch(
@@ -288,26 +367,6 @@ Status BTree::InsertBatch(
         StoreWithSplits(std::move(path), leaf_id, std::move(leaf)));
   }
   return Status::OK();
-}
-
-Status BTree::Put(const Slice& key, const Slice& value) {
-  std::vector<PathStep> path;
-  PageId leaf_id = kInvalidPageId;
-  Node leaf;
-  UINDEX_RETURN_IF_ERROR(DescendToLeaf(key, &path, &leaf_id, &leaf));
-  const size_t pos = leaf.LowerBound(key);
-  if (pos < leaf.entry_count() && Slice(leaf.entries()[pos].key) == key) {
-    leaf.entries()[pos].value = value.ToString();
-  } else {
-    NodeEntry entry;
-    entry.key = key.ToString();
-    entry.value = value.ToString();
-    leaf.entries().insert(
-        leaf.entries().begin() + static_cast<ptrdiff_t>(pos),
-        std::move(entry));
-    ++size_;
-  }
-  return StoreWithSplits(std::move(path), leaf_id, std::move(leaf));
 }
 
 namespace {
@@ -422,28 +481,13 @@ Status BTree::StoreWithSplits(std::vector<PathStep> path, PageId node_id,
   }
 }
 
-bool BTree::IsUnderfull(const Node& node) const {
-  if (node.entry_count() == 0) return true;
+bool BTree::IsUnderfull(size_t entry_count, uint32_t serialized_size) const {
+  if (entry_count == 0) return true;
   if (options_.max_entries_per_node != 0) {
-    return node.entry_count() * options_.underflow_divisor <
+    return entry_count * options_.underflow_divisor <
            options_.max_entries_per_node;
   }
-  return node.SerializedSize(options_) * options_.underflow_divisor <
-         buffers_->page_size();
-}
-
-Status BTree::Delete(const Slice& key) {
-  std::vector<PathStep> path;
-  PageId leaf_id = kInvalidPageId;
-  Node leaf;
-  UINDEX_RETURN_IF_ERROR(DescendToLeaf(key, &path, &leaf_id, &leaf));
-  const size_t pos = leaf.LowerBound(key);
-  if (pos == leaf.entry_count() || Slice(leaf.entries()[pos].key) != key) {
-    return Status::NotFound("key " + EscapeBytes(key));
-  }
-  leaf.entries().erase(leaf.entries().begin() + static_cast<ptrdiff_t>(pos));
-  --size_;
-  return RebalanceAfterDelete(std::move(path), leaf_id, std::move(leaf));
+  return serialized_size * options_.underflow_divisor < buffers_->page_size();
 }
 
 Status BTree::RebalanceAfterDelete(std::vector<PathStep> path, PageId node_id,
@@ -464,7 +508,7 @@ Status BTree::RebalanceAfterDelete(std::vector<PathStep> path, PageId node_id,
       }
       return Status::OK();
     }
-    if (!IsUnderfull(node)) {
+    if (!IsUnderfull(node.entry_count(), node.SerializedSize(options_))) {
       return WriteNode(node_id, node);
     }
 

@@ -236,16 +236,33 @@ class BTree {
     size_t child_index;
   };
 
+  // One internal level of a compressed descent: the page visited and which
+  // child pointer was taken (as in PathStep).
+  struct RouteStep {
+    PageId page_id;
+    size_t child_index;
+  };
+
   Result<Node> LoadNodeUncounted(PageId id) const;
   Status WriteNode(PageId id, const Node& node);
 
   // Descends to the leaf that would hold `key`, filling `path` with the
-  // internal steps (counted reads). If `upper_bound` is non-null it
-  // receives the tightest separator bounding the leaf's key range from
-  // above (empty = unbounded).
+  // internal steps (counted reads, every level fully parsed) — the batch
+  // insert's descent. `upper_bound` receives the tightest separator
+  // bounding the leaf's key range from above (empty = unbounded).
   Status DescendToLeaf(const Slice& key, std::vector<PathStep>* path,
                        PageId* leaf_id, Node* leaf,
-                       std::string* upper_bound = nullptr) const;
+                       std::string* upper_bound) const;
+
+  // The single-key write path of Insert, Put (`overwrite`) and Delete
+  // (`value` null). Descends with one counted Fetch and one
+  // SearchCompressed per level, recording only the route, then plans the
+  // edit on the leaf's compressed image. When the edited leaf fits (and a
+  // delete leaves it above the underflow threshold) the image is edited in
+  // place under one FetchForWrite; otherwise the route's pages are parsed
+  // uncounted and the edit goes through StoreWithSplits /
+  // RebalanceAfterDelete.
+  Status WriteKey(const Slice& key, const Slice* value, bool overwrite);
 
   // Writes back `node` (which may violate the size limit), splitting and
   // propagating up through `path` as needed.
@@ -257,7 +274,9 @@ class BTree {
   Status RebalanceAfterDelete(std::vector<PathStep> path, PageId node_id,
                               Node node);
 
-  bool IsUnderfull(const Node& node) const;
+  // Whether a non-root node of `entry_count` entries and `serialized_size`
+  // bytes is below the rebalancing threshold.
+  bool IsUnderfull(size_t entry_count, uint32_t serialized_size) const;
 
   Status ValidateSubtree(PageId id, const std::string* lo,
                          const std::string* hi, uint32_t depth,

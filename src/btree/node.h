@@ -84,6 +84,72 @@ class Node {
   static Result<CompressedSearch> SearchCompressed(const Page& page,
                                                    const Slice& target);
 
+  /// True if `page` holds a leaf image (by its header tag alone; the
+  /// entries are not validated).
+  static bool IsLeafImage(const Page& page);
+
+  /// A single-key edit of a leaf image, located and sized by
+  /// `PlanLeafEdit` and carried out in place by `ApplyLeafEdit`.
+  ///
+  /// Front compression makes a one-key change local: only the edited entry
+  /// and its successor (whose predecessor changes) are re-encoded, so the
+  /// page changes by a `memmove` of the tail instead of a parse and a full
+  /// re-serialization (the prefix B-tree of Bayer & Unterauer mutates its
+  /// coded pages the same way).
+  struct LeafEdit {
+    enum class Kind : uint8_t {
+      kInsert,     ///< `key` is absent: a new entry at `pos`.
+      kOverwrite,  ///< `key` is entries[pos]: replace its payload.
+      kErase,      ///< Remove entries[pos] (a no-op plan when !found).
+    };
+    Kind kind = Kind::kInsert;
+    bool found = false;      ///< entries[pos].key == key.
+    size_t pos = 0;          ///< LowerBound(key).
+    uint16_t count = 0;      ///< Entries before the edit.
+    uint16_t new_count = 0;  ///< Entries after it.
+    uint32_t size = 0;       ///< `SerializedSize` before the edit.
+    uint32_t new_size = 0;   ///< `SerializedSize` after it.
+
+    // Layout of the change, for ApplyLeafEdit.
+    uint32_t offset = 0;        // Byte offset of entries[pos] (or the end).
+    uint16_t key_prefix = 0;    // kInsert: the new entry's stored prefix.
+    uint16_t entry_prefix = 0;  // entries[pos]'s stored lengths.
+    uint16_t entry_suffix = 0;
+    uint16_t entry_value = 0;
+    // The entry re-encoded against a new predecessor — entries[pos] for an
+    // insert, entries[pos + 1] for an erase — when there is one.
+    bool has_next = false;
+    uint32_t next_offset = 0;
+    uint16_t next_prefix = 0;  // Stored prefix before the edit...
+    uint16_t next_prefix_new = 0;  // ...and after it.
+    uint16_t next_suffix = 0;
+    uint16_t next_value = 0;
+  };
+
+  /// Plans a one-key edit of the leaf image in `page` in a single pass
+  /// over its compressed entries, materializing nothing: with `value`
+  /// null, erasing `key`; otherwise inserting `key` → `*value`, or
+  /// overwriting the payload when `key` is present. The pass locates the
+  /// key exactly as `SearchCompressed` does and validates every entry as
+  /// `Parse` does; a malformed image (or a non-leaf one) fails with
+  /// Corruption. The page is never written.
+  ///
+  /// On a canonical image (as `SerializeTo` writes it under the same
+  /// `opts`), `new_size` equals the `SerializedSize` of the edited node and
+  /// `ApplyLeafEdit` produces exactly the bytes `Parse` → edit →
+  /// `SerializeTo` would.
+  static Result<LeafEdit> PlanLeafEdit(const Page& page, const Slice& key,
+                                       const Slice* value,
+                                       const BTreeOptions& opts);
+
+  /// Applies `edit` — planned on an image byte-identical to `page`'s — in
+  /// place: moves the tail, writes the edited entry and the successor's
+  /// header, updates the count and zeroes bytes freed by a shrink. The
+  /// caller has checked that `edit.new_size` fits the page. `key` and
+  /// `value` are the ones planned with (`value` unused by an erase).
+  static void ApplyLeafEdit(const LeafEdit& edit, const Slice& key,
+                            const Slice& value, Page* page);
+
   bool is_leaf() const { return is_leaf_; }
 
   /// Leaf only: id of the next leaf in key order (kInvalidPageId at end).
@@ -119,8 +185,9 @@ class Node {
   /// (including the optional max-entries cap).
   bool Fits(uint32_t page_size, const BTreeOptions& opts) const;
 
-  /// Writes the node image into `page`. The caller must have checked
-  /// `Fits`; returns Corruption if it does not fit after all.
+  /// Writes the node image into `page` in one pass, zeroing the unused
+  /// tail. The caller must have checked `Fits`; returns Corruption if it
+  /// does not fit after all, leaving the page contents unspecified.
   Status SerializeTo(Page* page, const BTreeOptions& opts) const;
 
   /// Renders keys/children for debugging.

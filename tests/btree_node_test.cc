@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -339,11 +340,193 @@ TEST(NodeTest, SearchCompressedRejectsBadPrefixLength) {
       Node::SearchCompressed(page, Slice("zz")).status().IsCorruption());
 }
 
+// The reference a leaf edit must reproduce: `node` with `key` inserted or
+// its payload overwritten (`value` set) or erased (`value` null).
+Node EditedNode(Node node, const std::string& key, const std::string* value) {
+  auto& entries = node.entries();
+  const size_t pos = node.LowerBound(Slice(key));
+  const bool found = pos < entries.size() && entries[pos].key == key;
+  if (value == nullptr) {
+    if (found) entries.erase(entries.begin() + static_cast<ptrdiff_t>(pos));
+  } else if (found) {
+    entries[pos].value = *value;
+  } else {
+    entries.insert(entries.begin() + static_cast<ptrdiff_t>(pos),
+                   LeafEntry(key, *value));
+  }
+  return node;
+}
+
+std::string RandomBytes(Random* rng, size_t len) {
+  std::string out;
+  for (size_t i = 0; i < len; ++i) {
+    out += static_cast<char>(rng->Next() & 0xFF);
+  }
+  return out;
+}
+
+// Every single-key edit of a canonical leaf image — insert at each gap,
+// overwrite and erase of each entry, with and without front compression —
+// must size the result exactly and write the very bytes Parse → edit →
+// SerializeTo writes.
+TEST(NodeTest, LeafEditMatchesReserialize) {
+  Random rng(20261020);
+  for (int round = 0; round < 120; ++round) {
+    BTreeOptions opts;
+    opts.prefix_compression = (round % 2 == 0);
+    Node node = Node::MakeLeaf();
+    node.set_next_leaf(round);
+    const auto keys = RandomSortedKeys(&rng, rng.Next() % 20);
+    for (const std::string& k : keys) {
+      node.entries().push_back(LeafEntry(k, RandomBytes(&rng, rng.Next() % 9)));
+    }
+    Page page(2048);
+    ASSERT_TRUE(node.SerializeTo(&page, opts).ok());
+    std::vector<std::string> probes = Probes(&rng, keys);
+    probes.push_back("");
+    for (const std::string& probe : probes) {
+      for (int op = 0; op < 2; ++op) {
+        const std::string value = RandomBytes(&rng, rng.Next() % 41);
+        const std::string* v = op == 0 ? &value : nullptr;
+        const Slice value_slice(value);
+        Result<Node::LeafEdit> plan = Node::PlanLeafEdit(
+            page, Slice(probe), op == 0 ? &value_slice : nullptr, opts);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        const Node::LeafEdit& edit = plan.value();
+        EXPECT_EQ(edit.pos, node.LowerBound(Slice(probe)));
+        EXPECT_EQ(edit.size, node.SerializedSize(opts));
+        const Node expected = EditedNode(node, probe, v);
+        EXPECT_EQ(edit.new_size, expected.SerializedSize(opts));
+        EXPECT_EQ(edit.new_count, expected.entry_count());
+        if (op == 1 && !edit.found) continue;  // Nothing to apply.
+
+        Page edited(page.size());
+        std::memcpy(edited.data(), page.data(), page.size());
+        Node::ApplyLeafEdit(edit, Slice(probe), value_slice, &edited);
+        Page want(page.size());
+        ASSERT_TRUE(expected.SerializeTo(&want, opts).ok());
+        ASSERT_EQ(std::memcmp(edited.data(), want.data(), page.size()), 0)
+            << "probe=" << probe << " op=" << op << " pos=" << edit.pos
+            << " compression=" << opts.prefix_compression;
+      }
+    }
+  }
+}
+
+// A malformed leaf image must fail the edit plan with Corruption — for an
+// insert and an erase alike — and the page bytes must stay untouched.
+TEST(NodeTest, LeafEditRejectsMalformedImages) {
+  BTreeOptions opts;
+  auto expect_rejected = [&opts](const Page& page) {
+    std::string before(page.data(), page.size());
+    const Slice value("v");
+    for (const Slice* v : {&value, static_cast<const Slice*>(nullptr)}) {
+      for (const char* key : {"", "ab", "zz"}) {
+        EXPECT_TRUE(Node::PlanLeafEdit(page, Slice(key), v, opts)
+                        .status()
+                        .IsCorruption())
+            << key;
+      }
+    }
+    EXPECT_EQ(std::string(page.data(), page.size()), before);
+  };
+
+  // Truncated entry header: the count claims an entry whose header runs
+  // past the page end (header 12 + entry 6+3+1 = 22 of 24 bytes).
+  {
+    Node node = Node::MakeLeaf();
+    node.entries().push_back(LeafEntry("abc", "v"));
+    Page page(24);
+    ASSERT_TRUE(node.SerializeTo(&page, opts).ok());
+    page.data()[2] = 2;
+    expect_rejected(page);
+  }
+  // prefix_len past the previous key (entry 1's prefix at byte 21).
+  {
+    Node node = Node::MakeLeaf();
+    node.entries().push_back(LeafEntry("aa", "1"));
+    node.entries().push_back(LeafEntry("ab", "2"));
+    Page page(128);
+    ASSERT_TRUE(node.SerializeTo(&page, opts).ok());
+    page.data()[Node::kHeaderSize + 9] = 9;
+    expect_rejected(page);
+  }
+  // Body overrun: the last entry's suffix length points past the page.
+  {
+    Node node = Node::MakeLeaf();
+    node.entries().push_back(LeafEntry("aa", "1"));
+    node.entries().push_back(LeafEntry("ab", "2"));
+    Page page(64);
+    ASSERT_TRUE(node.SerializeTo(&page, opts).ok());
+    page.data()[Node::kHeaderSize + 9 + 2] = 60;
+    expect_rejected(page);
+  }
+  // Not a leaf at all.
+  {
+    Node node = Node::MakeInternal();
+    node.entries().push_back(InternalEntry("m", 3));
+    Page page(64);
+    ASSERT_TRUE(node.SerializeTo(&page, opts).ok());
+    expect_rejected(page);
+  }
+}
+
+bool KeysSorted(const Node& node) {
+  for (size_t i = 1; i < node.entry_count(); ++i) {
+    if (!(Slice(node.entries()[i - 1].key) < Slice(node.entries()[i].key))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The leaf-edit plan validates the whole image, as Parse does: it fails on
+// every image Parse rejects (never touching the page), succeeds on every
+// sorted leaf Parse accepts, and then edits it into a valid image of the
+// edited node — byte-identity needs canonical prefixes, which flipped
+// bytes can break, so this compares decoded entries.
+void CheckLeafEditAgainstParse(const Page& page, const Result<Node>& parsed,
+                               const std::string& probe, Random* rng) {
+  const std::string before(page.data(), page.size());
+  const std::string value = RandomBytes(rng, rng->Next() % 6);
+  const Slice value_slice(value);
+  for (int op = 0; op < 2; ++op) {
+    BTreeOptions opts;
+    opts.prefix_compression = (rng->Next() % 2 == 0);
+    Result<Node::LeafEdit> plan = Node::PlanLeafEdit(
+        page, Slice(probe), op == 0 ? &value_slice : nullptr, opts);
+    ASSERT_EQ(std::string(page.data(), page.size()), before);
+    if (!parsed.ok() || !parsed.value().is_leaf()) {
+      EXPECT_TRUE(plan.status().IsCorruption());
+      continue;
+    }
+    if (!KeysSorted(parsed.value())) continue;
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const Node::LeafEdit& edit = plan.value();
+    EXPECT_EQ(edit.pos, parsed.value().LowerBound(Slice(probe)));
+    if ((op == 1 && !edit.found) || edit.new_size > page.size()) continue;
+    Page edited(page.size());
+    std::memcpy(edited.data(), page.data(), page.size());
+    Node::ApplyLeafEdit(edit, Slice(probe), value_slice, &edited);
+    Result<Node> back = Node::Parse(edited);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    const Node want =
+        EditedNode(parsed.value(), probe, op == 0 ? &value : nullptr);
+    ASSERT_EQ(back.value().entry_count(), want.entry_count());
+    for (size_t i = 0; i < want.entry_count(); ++i) {
+      EXPECT_EQ(back.value().entries()[i].key, want.entries()[i].key);
+      EXPECT_EQ(back.value().entries()[i].value, want.entries()[i].value);
+    }
+    EXPECT_EQ(back.value().next_leaf(), want.next_leaf());
+  }
+}
+
 // Corruption fuzz: random garbage and randomly flipped bytes of valid
-// images must never crash the compressed search, and whenever the full
-// Parse still accepts the image the search must agree with it. (The search
-// is allowed to succeed where Parse rejects: it stops validating at its
-// answer, just as it stops decompressing.)
+// images must never crash the compressed search or the leaf-edit plan, and
+// whenever the full Parse still accepts the image both must agree with it.
+// (The search is allowed to succeed where Parse rejects: it stops
+// validating at its answer, just as it stops decompressing. The edit plan
+// is not: it must find the image's end, so it validates every entry.)
 TEST(NodeTest, SearchCompressedCorruptionFuzz) {
   Random rng(20260806);
   for (int round = 0; round < 400; ++round) {
@@ -378,6 +561,7 @@ TEST(NodeTest, SearchCompressedCorruptionFuzz) {
     Result<Node::CompressedSearch> r =
         Node::SearchCompressed(page, Slice(probe));
     Result<Node> parsed = Node::Parse(page);
+    CheckLeafEditAgainstParse(page, parsed, probe, &rng);
     if (parsed.ok()) {
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       const Node& node = parsed.value();
@@ -386,15 +570,7 @@ TEST(NodeTest, SearchCompressedCorruptionFuzz) {
       // invariant (strictly increasing keys), which Parse does not check —
       // flipped suffix bytes can silently reorder decoded keys, and on an
       // unsorted array both searches return arbitrary (different) answers.
-      bool sorted = true;
-      for (size_t i = 1; i < node.entry_count(); ++i) {
-        if (!(Slice(node.entries()[i - 1].key) <
-              Slice(node.entries()[i].key))) {
-          sorted = false;
-          break;
-        }
-      }
-      if (sorted) {
+      if (KeysSorted(node)) {
         EXPECT_EQ(r.value().lower_bound, node.LowerBound(Slice(probe)));
         if (!node.is_leaf()) {
           EXPECT_EQ(r.value().child, node.ChildFor(Slice(probe)));

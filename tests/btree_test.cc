@@ -189,6 +189,86 @@ TEST_F(BTreeTest, IteratorCountsPageReads) {
   EXPECT_LE(cost.PagesRead(), stats.leaf_nodes + stats.height);
 }
 
+// Single-key writes cost what the parsed-path write cost: one counted read
+// per level (the leaf's FetchForWrite is a residency hit) and one page
+// write when the leaf is edited in place. A split costs no extra write for
+// the attempt that did not fit: the leaf, the allocated page, its image
+// and the parent — 4 writes, the same as re-serializing the parsed path.
+TEST_F(BTreeTest, SingleKeyWriteAccounting) {
+  BTree tree(&buffers_);
+  for (int i = 0; i < 2000; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%06d", i);
+    ASSERT_TRUE(tree.Insert(Slice(key), Slice("value")).ok());
+  }
+  const uint32_t height = tree.ComputeStats().value().height;
+  ASSERT_GE(height, 2u);
+  auto allocated = [this] { return buffers_.stats().pages_allocated.load(); };
+
+  {
+    QueryCost cost(&buffers_);
+    const uint64_t alloc0 = allocated();
+    ASSERT_TRUE(tree.Insert(Slice("k000100x"), Slice("value")).ok());
+    EXPECT_EQ(allocated(), alloc0);
+    EXPECT_EQ(cost.PagesRead(), height);
+    EXPECT_EQ(cost.PagesWritten(), 1u);
+  }
+  {
+    QueryCost cost(&buffers_);
+    ASSERT_TRUE(tree.Delete(Slice("k000101")).ok());
+    EXPECT_EQ(cost.PagesRead(), height);
+    EXPECT_EQ(cost.PagesWritten(), 1u);
+  }
+  {
+    QueryCost cost(&buffers_);
+    ASSERT_TRUE(tree.Put(Slice("k000102"), Slice("other")).ok());
+    EXPECT_EQ(cost.PagesRead(), height);
+    EXPECT_EQ(cost.PagesWritten(), 1u);
+  }
+  bool split = false;
+  for (int i = 0; i < 200 && !split; ++i) {
+    char key[24];
+    std::snprintf(key, sizeof(key), "k000200/%04d", i);
+    QueryCost cost(&buffers_);
+    const uint64_t alloc0 = allocated();
+    ASSERT_TRUE(tree.Insert(Slice(key), Slice("value")).ok());
+    EXPECT_EQ(cost.PagesRead(), height) << key;
+    if (allocated() == alloc0) {
+      EXPECT_EQ(cost.PagesWritten(), 1u) << key;
+      continue;
+    }
+    split = true;
+    EXPECT_EQ(allocated(), alloc0 + 1);
+    EXPECT_EQ(cost.PagesWritten(), 4u);
+  }
+  EXPECT_TRUE(split);
+  EXPECT_EQ(tree.ComputeStats().value().height, height);
+  EXPECT_TRUE(tree.Validate().ok());
+}
+
+// A malformed leaf fails every single-key write with Corruption before
+// anything is written: the page keeps its bytes and the tree its size.
+TEST_F(BTreeTest, CorruptLeafFailsWritesUntouched) {
+  BTree tree(&buffers_);
+  ASSERT_TRUE(tree.Insert(Slice("aa"), Slice("1")).ok());
+  ASSERT_TRUE(tree.Insert(Slice("ab"), Slice("2")).ok());
+  // Entry 1 starts after the header and entry 0 (6 + "aa" + "1"); push
+  // its suffix length past the page end.
+  Page* leaf = pager_.GetPage(tree.root());
+  char* suffix_len = leaf->data() + Node::kHeaderSize + 9 + 2;
+  suffix_len[0] = static_cast<char>(0xFF);
+  suffix_len[1] = 0x03;
+  const std::string before(leaf->data(), leaf->size());
+  const uint64_t written = buffers_.stats().pages_written.load();
+
+  EXPECT_TRUE(tree.Insert(Slice("ac"), Slice("3")).IsCorruption());
+  EXPECT_TRUE(tree.Put(Slice("ab"), Slice("4")).IsCorruption());
+  EXPECT_TRUE(tree.Delete(Slice("aa")).IsCorruption());
+  EXPECT_EQ(std::string(leaf->data(), leaf->size()), before);
+  EXPECT_EQ(buffers_.stats().pages_written.load(), written);
+  EXPECT_EQ(tree.size(), 2u);
+}
+
 // Delete-rebalance borrow replaces a parent separator with a sibling
 // boundary key that can be LONGER than the one it displaced; a full
 // parent must then split, not fail serialization ("node does not fit in
@@ -311,6 +391,132 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, BTreeFuzzTest,
     ::testing::Combine(::testing::Values(256u, 512u, 1024u),
                        ::testing::Bool(), ::testing::Values(0u, 24u)));
+
+// ---------------------------------------------------------------------------
+// Byte-identity of in-place leaf edits: every single-key write that costs
+// one page write must leave that page exactly as Parse → edit →
+// SerializeTo of its prior image would.
+// ---------------------------------------------------------------------------
+
+std::map<PageId, std::string> PageImages(const Pager& pager) {
+  std::map<PageId, std::string> images;
+  for (PageId id = 1; id <= pager.max_page_id(); ++id) {
+    if (const Page* page = pager.GetPage(id)) {
+      images.emplace(id, std::string(page->data(), page->size()));
+    }
+  }
+  return images;
+}
+
+class BTreeInPlaceTest
+    : public ::testing::TestWithParam<std::tuple<bool, uint32_t>> {};
+
+TEST_P(BTreeInPlaceTest, SingleWritesMatchReserialize) {
+  constexpr uint32_t kPageSize = 256;
+  BTreeOptions opts;
+  opts.prefix_compression = std::get<0>(GetParam());
+  opts.max_entries_per_node = std::get<1>(GetParam());
+  Pager pager(kPageSize);
+  BufferManager buffers(&pager);
+  BTree tree(&buffers, opts);
+  std::map<std::string, std::string> model;
+  Random rng(opts.prefix_compression * 17 + opts.max_entries_per_node);
+
+  enum { kInsertFirst, kInsertMiddle, kInsertLast, kOverwrite, kEraseFirst,
+         kEraseMiddle, kEraseLast, kSplitOrMerge, kCases };
+  uint64_t seen[kCases] = {};
+  for (int op = 0; op < 4000; ++op) {
+    const uint64_t k = rng.Uniform(300);
+    // Long shared prefixes; the number's digits vary in length too.
+    const std::string key = "objects/of/one/long/class/" +
+                            std::to_string(k % 5) + "/" + std::to_string(k);
+    std::string value;
+    const size_t value_len = rng.Uniform(41);
+    for (size_t i = 0; i < value_len; ++i) {
+      value += static_cast<char>('a' + rng.Uniform(26));
+    }
+    const uint64_t action = rng.Uniform(10);
+
+    const std::map<PageId, std::string> before = PageImages(pager);
+    const uint64_t written0 = buffers.stats().pages_written.load();
+    const bool present = model.count(key) > 0;
+    if (action < 4) {
+      Status s = tree.Insert(Slice(key), Slice(value));
+      ASSERT_TRUE(present ? s.IsAlreadyExists() : s.ok()) << s.ToString();
+      if (!present) model[key] = value;
+    } else if (action < 7) {
+      ASSERT_TRUE(tree.Put(Slice(key), Slice(value)).ok());
+      model[key] = value;
+    } else {
+      Status s = tree.Delete(Slice(key));
+      ASSERT_TRUE(present ? s.ok() : s.IsNotFound()) << s.ToString();
+      model.erase(key);
+    }
+    const uint64_t written = buffers.stats().pages_written.load() - written0;
+    if (written > 1) ++seen[kSplitOrMerge];
+    if (written == 1) {
+      const std::map<PageId, std::string> after = PageImages(pager);
+      ASSERT_EQ(after.size(), before.size());
+      std::vector<PageId> changed;
+      for (const auto& [id, bytes] : after) {
+        if (before.at(id) != bytes) changed.push_back(id);
+      }
+      ASSERT_LE(changed.size(), 1u) << "op " << op;
+      if (changed.empty()) continue;  // Put of the payload already there.
+
+      Page prior(kPageSize);
+      std::memcpy(prior.data(), before.at(changed[0]).data(), kPageSize);
+      Result<Node> parsed = Node::Parse(prior);
+      ASSERT_TRUE(parsed.ok());
+      Node node = std::move(parsed).value();
+      ASSERT_TRUE(node.is_leaf());
+      auto& entries = node.entries();
+      const size_t pos = node.LowerBound(Slice(key));
+      const bool found = pos < entries.size() && entries[pos].key == key;
+      const auto at = entries.begin() + static_cast<ptrdiff_t>(pos);
+      if (action >= 7) {
+        ASSERT_TRUE(found);
+        ++seen[pos == 0                      ? kEraseFirst
+               : pos + 1 == entries.size() ? kEraseLast
+                                           : kEraseMiddle];
+        entries.erase(at);
+      } else if (found) {
+        ++seen[kOverwrite];
+        at->value = value;
+      } else {
+        ++seen[pos == 0                  ? kInsertFirst
+               : pos == entries.size() ? kInsertLast
+                                       : kInsertMiddle];
+        NodeEntry entry;
+        entry.key = key;
+        entry.value = value;
+        entries.insert(at, std::move(entry));
+      }
+      Page want(kPageSize);
+      ASSERT_TRUE(node.SerializeTo(&want, opts).ok());
+      ASSERT_EQ(after.at(changed[0]), std::string(want.data(), kPageSize))
+          << "op " << op << " key " << key << " pos " << pos;
+    }
+    if (op % 200 == 199) {
+      ASSERT_TRUE(tree.Validate().ok()) << "op " << op;
+    }
+  }
+  ASSERT_TRUE(tree.Validate().ok());
+  ASSERT_EQ(tree.size(), model.size());
+  auto it = tree.NewIterator();
+  auto mit = model.begin();
+  for (it.SeekToFirst(); it.Valid(); it.Next(), ++mit) {
+    ASSERT_NE(mit, model.end());
+    EXPECT_EQ(it.key().ToString(), mit->first);
+    EXPECT_EQ(it.value().ToString(), mit->second);
+  }
+  EXPECT_EQ(mit, model.end());
+  for (int c = 0; c < kCases; ++c) EXPECT_GT(seen[c], 0u) << "case " << c;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, BTreeInPlaceTest,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Values(0u, 6u)));
 
 }  // namespace
 }  // namespace uindex

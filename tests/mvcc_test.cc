@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "btree/btree.h"
 #include "db/database.h"
 #include "db/session.h"
 #include "storage/buffer_manager.h"
@@ -258,6 +259,62 @@ TEST_F(BufferManagerMvccTest, SecondEpochCopiesFromNewestRevision) {
   for (uint64_t e = 0; e <= 3; ++e) {
     EXPECT_EQ(FirstByteAt(id, e), static_cast<char>('a' + e));
   }
+}
+
+// B-tree leaf edits made in place under an open write epoch go into the
+// epoch's copy-on-write revision: one page write per edit, one copy of the
+// leaf per epoch, and a reader pinned before the epoch keeps exactly its
+// snapshot rows — while the epoch is open and after it publishes.
+TEST_F(BufferManagerMvccTest, InPlaceLeafEditsKeepPinnedSnapshot) {
+  BTreeOptions opts;
+  BTree tree(&bm_, opts);
+  for (const char* k : {"k0", "k2", "k4", "k6"}) {
+    ASSERT_TRUE(tree.Insert(Slice(k), Slice("base")).ok());
+  }
+  const PageId root = tree.root();
+  const uint64_t base_size = tree.size();
+  auto rows_at = [&](uint64_t epoch, uint64_t size) {
+    ScopedEpoch scope(epoch);
+    BTree view(&bm_, root, size, opts, /*borrowed_cache=*/nullptr);
+    std::vector<std::string> rows;
+    auto it = view.NewIterator();
+    for (it.SeekToFirst(); it.Valid(); it.Next()) {
+      rows.push_back(it.key().ToString() + "=" + it.value().ToString());
+    }
+    EXPECT_TRUE(it.status().ok());
+    return rows;
+  };
+  const std::vector<std::string> snapshot = rows_at(0, base_size);
+  ASSERT_EQ(snapshot, (std::vector<std::string>{"k0=base", "k2=base",
+                                                "k4=base", "k6=base"}));
+
+  const IoStats before = bm_.stats();
+  bm_.BeginWriteEpoch(1);
+  {
+    ScopedEpoch scope(1);
+    for (const char* k : {"k1", "k3", "k5", "k7"}) {
+      ASSERT_TRUE(tree.Insert(Slice(k), Slice("new")).ok());
+    }
+    ASSERT_TRUE(tree.Put(Slice("k0"), Slice("upd")).ok());
+    ASSERT_TRUE(tree.Delete(Slice("k6")).ok());
+  }
+  const IoStats delta = bm_.stats() - before;
+  EXPECT_EQ(delta.pages_written.load(), 6u);
+  EXPECT_EQ(delta.pages_cow.load(), 1u);
+  EXPECT_EQ(delta.pages_allocated.load(), 0u);
+  ASSERT_EQ(tree.root(), root);  // No split: every edit stayed in the leaf.
+
+  EXPECT_EQ(rows_at(0, base_size), snapshot);
+  bm_.EndWriteEpoch();
+  EXPECT_EQ(rows_at(0, base_size), snapshot);
+  const std::vector<std::string> published = {
+      "k0=upd", "k1=new", "k2=base", "k3=new", "k4=base", "k5=new", "k7=new"};
+  EXPECT_EQ(rows_at(1, tree.size()), published);
+  EXPECT_TRUE(tree.Validate().ok());
+
+  bm_.ReclaimVersionsThrough(1);
+  EXPECT_EQ(bm_.versioned_revision_count(), 0u);
+  EXPECT_EQ(rows_at(kLatestEpoch, tree.size()), published);
 }
 
 TEST_F(BufferManagerMvccTest, BornPagesWriteInPlaceAndFreeImmediately) {
